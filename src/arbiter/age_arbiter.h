@@ -7,6 +7,8 @@
 #ifndef SS_ARBITER_AGE_ARBITER_H_
 #define SS_ARBITER_AGE_ARBITER_H_
 
+#include <vector>
+
 #include "arbiter/arbiter.h"
 
 namespace ss {
@@ -25,6 +27,7 @@ class AgeArbiter : public Arbiter {
 
   private:
     std::uint32_t next_ = 0;  // round-robin tiebreak pointer
+    std::vector<std::uint64_t> ages_;  // per-client metadata (metadata_)
 };
 
 }  // namespace ss

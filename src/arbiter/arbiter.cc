@@ -4,30 +4,18 @@ namespace ss {
 
 Arbiter::Arbiter(Simulator* simulator, const std::string& name,
                  const Component* parent, std::uint32_t size)
-    : Component(simulator, name, parent), size_(size)
+    : Component(simulator, name, parent), size_(size), requests_(size)
 {
     checkUser(size > 0, "arbiter size must be > 0");
-    requests_.resize(size, false);
-    metadata_.resize(size, 0);
-}
-
-void
-Arbiter::request(std::uint32_t client, std::uint64_t metadata)
-{
-    checkSim(client < size_, "arbiter request out of range");
-    if (!requests_[client]) {
-        requests_[client] = true;
-        ++numRequests_;
-    }
-    metadata_[client] = metadata;
+    firstWord_ = requests_.numWords();
 }
 
 void
 Arbiter::cancel(std::uint32_t client)
 {
     checkSim(client < size_, "arbiter cancel out of range");
-    if (requests_[client]) {
-        requests_[client] = false;
+    if (requests_.test(client)) {
+        requests_.reset(client);
         --numRequests_;
     }
 }
@@ -36,18 +24,25 @@ bool
 Arbiter::requesting(std::uint32_t client) const
 {
     checkSim(client < size_, "arbiter query out of range");
-    return requests_[client];
+    return requests_.test(client);
 }
 
 std::uint32_t
 Arbiter::arbitrate()
 {
-    std::uint32_t winner = numRequests_ == 0 ? kNone : select();
+    if (numRequests_ == 0) {
+        return kNone;  // cancel() leaves no member behind
+    }
+    std::uint32_t winner = select();
     if (winner != kNone) {
-        checkSim(winner < size_ && requests_[winner],
+        checkSim(winner < size_ && requests_.test(winner),
                  "arbiter selected a non-requesting client");
     }
-    std::fill(requests_.begin(), requests_.end(), false);
+    for (std::uint32_t w = firstWord_; w <= lastWord_; ++w) {
+        requests_.clearWord(w);
+    }
+    firstWord_ = requests_.numWords();
+    lastWord_ = 0;
     numRequests_ = 0;
     return winner;
 }

@@ -12,12 +12,13 @@
 #ifndef SS_ARBITER_ARBITER_H_
 #define SS_ARBITER_ARBITER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "core/component.h"
 #include "factory/factory.h"
 #include "json/json.h"
+#include "types/bitmask.h"
 
 namespace ss {
 
@@ -37,7 +38,21 @@ class Arbiter : public Component {
     /** Posts a request for @p client. @p metadata is policy-specific
      *  (age-based arbitration treats lower values as older/higher
      *  priority). */
-    void request(std::uint32_t client, std::uint64_t metadata = 0);
+    void
+    request(std::uint32_t client, std::uint64_t metadata = 0)
+    {
+        checkSim(client < size_, "arbiter request out of range");
+        if (!requests_.test(client)) {
+            requests_.set(client);
+            ++numRequests_;
+            std::uint32_t w = client >> 6;
+            firstWord_ = std::min(firstWord_, w);
+            lastWord_ = std::max(lastWord_, w);
+        }
+        if (metadata_ != nullptr) {
+            metadata_[client] = metadata;
+        }
+    }
 
     /** Removes a previously posted request. */
     void cancel(std::uint32_t client);
@@ -49,21 +64,31 @@ class Arbiter : public Component {
     std::uint32_t numRequests() const { return numRequests_; }
 
     /** Picks a winner among current requests (kNone if none), then clears
-     *  all requests. Policy state is only advanced by grant(). */
+     *  all requests. Policy state is only advanced by grant(). Touches
+     *  only the request words that were set since the last call. */
     std::uint32_t arbitrate();
 
     /** Commits the grant for @p winner, advancing fairness state. */
     virtual void grant(std::uint32_t winner);
 
   protected:
-    /** Policy hook: select a winner; requests_[i] / metadata_[i] are
-     *  valid for requesting clients. */
+    /** Policy hook: select a winner among the members of requests_
+     *  (called only when there is at least one). */
     virtual std::uint32_t select() = 0;
 
     std::uint32_t size_;
-    std::vector<bool> requests_;
-    std::vector<std::uint64_t> metadata_;
+    Bitmask requests_;
     std::uint32_t numRequests_ = 0;
+    /** Per-client metadata store, owned by the policies that read it
+     *  (age); null otherwise, so other policies keep no O(size) array
+     *  and request() drops the value without a virtual call. */
+    std::uint64_t* metadata_ = nullptr;
+
+  private:
+    // Range of request words set since the last arbitrate() (empty when
+    // firstWord_ > lastWord_).
+    std::uint32_t firstWord_;
+    std::uint32_t lastWord_ = 0;
 };
 
 /** Factory for arbiter models; settings carry policy parameters. */

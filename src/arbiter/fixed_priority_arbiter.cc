@@ -15,12 +15,7 @@ FixedPriorityArbiter::FixedPriorityArbiter(Simulator* simulator,
 std::uint32_t
 FixedPriorityArbiter::select()
 {
-    for (std::uint32_t i = 0; i < size_; ++i) {
-        if (requests_[i]) {
-            return i;
-        }
-    }
-    return kNone;
+    return requests_.next(0);
 }
 
 SS_REGISTER(ArbiterFactory, "fixed_priority", FixedPriorityArbiter);

@@ -5,30 +5,34 @@ namespace ss {
 LruArbiter::LruArbiter(Simulator* simulator, const std::string& name,
                        const Component* parent, std::uint32_t size,
                        const json::Value& settings)
-    : Arbiter(simulator, name, parent, size)
+    : Arbiter(simulator, name, parent, size), lastGrant_(size), clock_(size)
 {
     (void)settings;
     for (std::uint32_t i = 0; i < size; ++i) {
-        order_.push_back(i);
+        lastGrant_[i] = i;
     }
 }
 
 std::uint32_t
 LruArbiter::select()
 {
-    for (std::uint32_t client : order_) {
-        if (requests_[client]) {
-            return client;
+    std::uint32_t winner = kNone;
+    std::uint64_t oldest = 0;
+    for (std::uint32_t c = requests_.next(0); c != kNone;
+         c = requests_.next(c + 1)) {
+        if (winner == kNone || lastGrant_[c] < oldest) {
+            winner = c;
+            oldest = lastGrant_[c];
         }
     }
-    return kNone;
+    return winner;
 }
 
 void
 LruArbiter::grant(std::uint32_t winner)
 {
-    order_.remove(winner);
-    order_.push_back(winner);
+    checkSim(winner < size_, "LRU grant out of range");
+    lastGrant_[winner] = clock_++;
 }
 
 SS_REGISTER(ArbiterFactory, "lru", LruArbiter);

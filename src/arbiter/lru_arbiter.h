@@ -6,7 +6,7 @@
 #ifndef SS_ARBITER_LRU_ARBITER_H_
 #define SS_ARBITER_LRU_ARBITER_H_
 
-#include <list>
+#include <vector>
 
 #include "arbiter/arbiter.h"
 
@@ -25,7 +25,11 @@ class LruArbiter : public Arbiter {
     std::uint32_t select() override;
 
   private:
-    std::list<std::uint32_t> order_;  // front = least recently granted
+    // Per client, when it was last granted (distinct; smaller = less
+    // recent). Client i starts at i, so before any grant the lowest
+    // index is least recent.
+    std::vector<std::uint64_t> lastGrant_;
+    std::uint64_t clock_;
 };
 
 }  // namespace ss

@@ -15,13 +15,9 @@ RoundRobinArbiter::RoundRobinArbiter(Simulator* simulator,
 std::uint32_t
 RoundRobinArbiter::select()
 {
-    for (std::uint32_t i = 0; i < size_; ++i) {
-        std::uint32_t client = (next_ + i) % size_;
-        if (requests_[client]) {
-            return client;
-        }
-    }
-    return kNone;
+    // First requester at or after next_, wrapping to the lowest one.
+    std::uint32_t client = requests_.next(next_);
+    return client != kNone ? client : requests_.next(0);
 }
 
 void

@@ -74,10 +74,13 @@ InputQueuedRouter::InputQueuedRouter(
         vca.isObject() && vca.has("arbiter") ? vca.at("arbiter")
                                              : json::Value::object();
 
-    std::size_t slots = static_cast<std::size_t>(numPorts_) * numVcs_;
+    std::uint32_t slots = numPorts_ * numVcs_;
     inputs_.resize(slots);
-    outputVcAllocated_.resize(slots, false);
+    outputVcAllocated_ = Bitmask(slots);
     outputState_.resize(numPorts_);
+    vcaPending_ = Bitmask(slots);
+    saRequests_.assign(numPorts_, Bitmask(slots));
+    vcaRequested_ = Bitmask(slots);
 
     // Observability instruments exist only when the layer is enabled;
     // otherwise the cached pointers stay null and the pipeline pays one
@@ -89,26 +92,21 @@ InputQueuedRouter::InputQueuedRouter(
         saGrants_ = m.counter(fullName() + ".sa_grants");
         hopLatency_ = m.histogram(fullName() + ".hop_latency");
         m.polledGauge(fullName() + ".input_occupancy", [this]() {
-            std::size_t total = 0;
-            for (const auto& state : inputs_) {
-                total += state.buffer.size();
-            }
-            return static_cast<double>(total);
+            return static_cast<double>(buffered_);
         });
     }
     obs::TraceWriter* tw = simulator->traceWriter();
     traceHops_ = (tw != nullptr && tw->hopsEnabled()) ? tw : nullptr;
     markHopArrival_ = traceHops_ != nullptr || hopLatency_ != nullptr;
-    std::uint32_t clients = numPorts_ * numVcs_;
     for (std::uint32_t o = 0; o < numPorts_; ++o) {
         saArbiters_.push_back(ArbiterFactory::instance().createUnique(
-            sa_arbiter, simulator, strf("sa_arb_", o), this, clients,
+            sa_arbiter, simulator, strf("sa_arb_", o), this, slots,
             arbiter_settings));
         for (std::uint32_t v = 0; v < numVcs_; ++v) {
             vcaArbiters_.push_back(
                 ArbiterFactory::instance().createUnique(
                     vca_arbiter, simulator, strf("vca_arb_", o, "_", v),
-                    this, clients, vca_arbiter_settings));
+                    this, slots, vca_arbiter_settings));
         }
     }
 }
@@ -134,6 +132,12 @@ InputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
              fullName(), ": input buffer overrun on port ", port, " vc ",
              vc);
     state.buffer.push_back(flit);
+    ++buffered_;
+    if (state.allocated) {
+        saRequests_[state.outPort].set(iv(port, vc));
+    } else {
+        vcaPending_.set(iv(port, vc));
+    }
     if (activity_) {
         ++activity_->bufferWrites;
     }
@@ -169,11 +173,8 @@ InputQueuedRouter::processPipeline()
     runSwitchAllocation();
 
     // Conservative rescheduling: any buffered flit means work may remain.
-    for (const auto& state : inputs_) {
-        if (!state.buffer.empty()) {
-            activate();
-            break;
-        }
+    if (buffered_ > 0) {
+        activate();
     }
 }
 
@@ -181,92 +182,85 @@ void
 InputQueuedRouter::runVcAllocation()
 {
     // Stage 1: each unallocated input VC with a routed head picks its
-    // preferred available option (most free space, random tiebreak).
-    std::vector<std::uint32_t> preferred(inputs_.size(), Arbiter::kNone);
-    bool any = false;
-    for (std::uint32_t port = 0; port < numPorts_; ++port) {
-        for (std::uint32_t vc = 0; vc < numVcs_; ++vc) {
-            InputVc& state = inputs_[iv(port, vc)];
-            if (state.allocated || state.buffer.empty()) {
+    // preferred available option (most free space, random tiebreak) and
+    // requests that output VC. Ascending input order fixes the order of
+    // routing decisions and random draws.
+    for (std::uint32_t idx = vcaPending_.next(0); idx != Bitmask::kEnd;
+         idx = vcaPending_.next(idx + 1)) {
+        std::uint32_t port = idx / numVcs_;
+        std::uint32_t vc = idx % numVcs_;
+        InputVc& state = inputs_[idx];
+        Flit* front = state.buffer.front();
+        // A body flit can never surface in an unallocated input VC:
+        // its head acquired the output VC and only the tail releases
+        // it (§IV-D ordering invariant).
+        checkSim(front->isHead(),
+                 "body flit at head of unallocated input VC: ",
+                 "router ", id_, " port ", port, " vc ", vc,
+                 " flit ", front->id(), " pkt ",
+                 front->packet()->id(), " msg ",
+                 front->packet()->message()->id(), " tick ",
+                 now().tick);
+        if (!state.routed) {
+            routeCheck(port, vc, front->packet(), &state.options);
+            state.routed = true;
+        }
+        // Pick among unallocated options.
+        std::uint32_t best = Arbiter::kNone;
+        std::uint32_t best_space = 0;
+        std::uint32_t ties = 0;
+        for (std::uint32_t i = 0; i < state.options.size(); ++i) {
+            const auto& opt = state.options[i];
+            if (outputVcAllocated_.test(iv(opt.port, opt.vc))) {
                 continue;
             }
-            Flit* front = state.buffer.front();
-            // A body flit can never surface in an unallocated input VC:
-            // its head acquired the output VC and only the tail releases
-            // it (§IV-D ordering invariant).
-            checkSim(front->isHead(),
-                     "body flit at head of unallocated input VC: ",
-                     "router ", id_, " port ", port, " vc ", vc,
-                     " flit ", front->id(), " pkt ",
-                     front->packet()->id(), " msg ",
-                     front->packet()->message()->id(), " tick ",
-                     now().tick);
-            if (!state.routed) {
-                routeCheck(port, vc, front->packet(), &state.options);
-                state.routed = true;
-            }
-            // Pick among unallocated options.
-            std::uint32_t best = Arbiter::kNone;
-            std::uint32_t best_space = 0;
-            std::uint32_t ties = 0;
-            for (std::uint32_t i = 0; i < state.options.size(); ++i) {
-                const auto& opt = state.options[i];
-                if (outputVcAllocated_[iv(opt.port, opt.vc)]) {
-                    continue;
-                }
-                std::uint32_t space = spaceCount(opt.port, opt.vc);
-                if (best == Arbiter::kNone || space > best_space) {
+            std::uint32_t space = spaceCount(opt.port, opt.vc);
+            if (best == Arbiter::kNone || space > best_space) {
+                best = i;
+                best_space = space;
+                ties = 1;
+            } else if (space == best_space) {
+                // Reservoir-sample among equals for fairness.
+                ++ties;
+                if (random().nextU64(ties) == 0) {
                     best = i;
-                    best_space = space;
-                    ties = 1;
-                } else if (space == best_space) {
-                    // Reservoir-sample among equals for fairness.
-                    ++ties;
-                    if (random().nextU64(ties) == 0) {
-                        best = i;
-                    }
                 }
-            }
-            if (best != Arbiter::kNone) {
-                preferred[iv(port, vc)] = best;
-                any = true;
             }
         }
+        if (best != Arbiter::kNone) {
+            // Metadata is the packet's injection tick for age-based
+            // policies.
+            const auto& opt = state.options[best];
+            std::uint32_t resource = iv(opt.port, opt.vc);
+            vcaArbiters_[resource]->request(
+                idx, front->packet()->injectTime().tick);
+            vcaRequested_.set(resource);
+        }
     }
-    if (!any) {
-        return;
-    }
-    // Stage 2: each (output port, VC) resource grants one requester;
-    // metadata is the packet's injection tick for age-based policies.
-    for (std::uint32_t idx = 0; idx < inputs_.size(); ++idx) {
-        if (preferred[idx] == Arbiter::kNone) {
+    // Stage 2: each requested (output port, VC) resource grants one
+    // requester, in ascending (port, VC) order.
+    for (std::uint32_t r = vcaRequested_.next(0); r != Bitmask::kEnd;
+         r = vcaRequested_.next(r + 1)) {
+        vcaRequested_.reset(r);
+        Arbiter* arb = vcaArbiters_[r].get();
+        std::uint32_t winner = arb->arbitrate();
+        if (winner == Arbiter::kNone) {
             continue;
         }
-        const auto& opt = inputs_[idx].options[preferred[idx]];
-        vcaArbiters_[iv(opt.port, opt.vc)]->request(
-            static_cast<std::uint32_t>(idx),
-            inputs_[idx].buffer.front()->packet()->injectTime().tick);
-    }
-    for (std::uint32_t o = 0; o < numPorts_; ++o) {
-        for (std::uint32_t v = 0; v < numVcs_; ++v) {
-            Arbiter* arb = vcaArbiters_[iv(o, v)].get();
-            std::uint32_t winner = arb->arbitrate();
-            if (winner == Arbiter::kNone) {
-                continue;
-            }
-            arb->grant(winner);
-            if (vcaGrants_) {
-                vcaGrants_->inc();
-            }
-            if (activity_) {
-                ++activity_->arbitrations;
-            }
-            InputVc& state = inputs_[winner];
-            state.allocated = true;
-            state.outPort = o;
-            state.outVc = v;
-            outputVcAllocated_[iv(o, v)] = true;
+        arb->grant(winner);
+        if (vcaGrants_) {
+            vcaGrants_->inc();
         }
+        if (activity_) {
+            ++activity_->arbitrations;
+        }
+        InputVc& state = inputs_[winner];
+        state.allocated = true;
+        state.outPort = r / numVcs_;
+        state.outVc = r % numVcs_;
+        outputVcAllocated_.set(r);
+        vcaPending_.reset(winner);
+        saRequests_[state.outPort].set(winner);
     }
 }
 
@@ -303,11 +297,19 @@ InputQueuedRouter::runSwitchAllocation()
     Tick tick = now().tick;
     for (std::uint32_t o = 0; o < numPorts_; ++o) {
         OutputPortState& out = outputState_[o];
+        const Bitmask& candidates = saRequests_[o];
+        bool wta_locked =
+            flowControl_ == FlowControl::kWinnerTakeAll && out.locked;
+        // outputReady() has no side effects, so a port with neither
+        // candidates nor a WTA lock to check has nothing to do.
+        if (!wta_locked && !candidates.any()) {
+            continue;
+        }
         if (!outputReady(o, tick)) {
             continue;
         }
         // WTA: a stalled lock holder releases the output (paper §VI-C).
-        if (flowControl_ == FlowControl::kWinnerTakeAll && out.locked) {
+        if (wta_locked) {
             const InputVc& holder = inputs_[out.holder];
             bool holder_can_go = !holder.buffer.empty() &&
                                  hasSpace(holder.outPort, holder.outVc);
@@ -315,27 +317,18 @@ InputQueuedRouter::runSwitchAllocation()
                 out.locked = false;
             }
         }
-        // Gather eligible competitors.
+        // Gather eligible competitors in ascending input order.
         Arbiter* arb = saArbiters_[o].get();
-        bool any = false;
-        for (std::uint32_t idx = 0; idx < inputs_.size(); ++idx) {
+        for (std::uint32_t idx = candidates.next(0); idx != Bitmask::kEnd;
+             idx = candidates.next(idx + 1)) {
             const InputVc& state = inputs_[idx];
-            if (!state.allocated || state.outPort != o ||
-                state.buffer.empty()) {
-                continue;
-            }
-            if (!fcEligible(static_cast<std::uint32_t>(idx), state)) {
+            if (!fcEligible(idx, state)) {
                 continue;
             }
             // Age metadata: injection tick of the packet (older wins
             // under the "age" arbiter policy).
-            arb->request(static_cast<std::uint32_t>(idx),
-                         state.buffer.front()->packet()
-                             ->injectTime().tick);
-            any = true;
-        }
-        if (!any) {
-            continue;
+            arb->request(idx, state.buffer.front()->packet()
+                                  ->injectTime().tick);
         }
         std::uint32_t winner = arb->arbitrate();
         if (winner == Arbiter::kNone) {
@@ -346,6 +339,10 @@ InputQueuedRouter::runSwitchAllocation()
         InputVc& state = inputs_[winner];
         Flit* flit = state.buffer.front();
         state.buffer.pop_front();
+        --buffered_;
+        if (state.buffer.empty()) {
+            saRequests_[o].reset(winner);
+        }
         if (activity_) {
             ++activity_->arbitrations;
             ++activity_->bufferReads;
@@ -387,10 +384,14 @@ InputQueuedRouter::runSwitchAllocation()
                 out.locked = false;
             }
             // Release the output VC and prepare for the next packet.
-            outputVcAllocated_[iv(state.outPort, state.outVc)] = false;
+            outputVcAllocated_.reset(iv(state.outPort, state.outVc));
             state.allocated = false;
             state.routed = false;
             state.options.clear();
+            saRequests_[o].reset(winner);
+            if (!state.buffer.empty()) {
+                vcaPending_.set(winner);
+            }
         }
     }
 }

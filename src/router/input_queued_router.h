@@ -30,6 +30,7 @@
 #include "network/router.h"
 #include "obs/metrics.h"
 #include "obs/trace_writer.h"
+#include "types/bitmask.h"
 
 namespace ss {
 
@@ -108,10 +109,20 @@ class InputQueuedRouter : public Router {
     Tick crossbarLatency_;
 
     std::vector<InputVc> inputs_;            // [port*numVcs+vc]
-    std::vector<bool> outputVcAllocated_;    // [port*numVcs+vc]
+    Bitmask outputVcAllocated_;              // [port*numVcs+vc]
     std::vector<OutputPortState> outputState_;  // [port]
     std::vector<std::unique_ptr<Arbiter>> vcaArbiters_;  // per (o,v)
     std::vector<std::unique_ptr<Arbiter>> saArbiters_;   // per output port
+
+    // Allocation candidate sets over input VCs [port*numVcs+vc], kept
+    // current wherever an input VC's buffer or allocation changes, so the
+    // pipeline visits only VCs that can act (DESIGN.md §12):
+    //  - vcaPending_: non-empty and holding no output VC;
+    //  - saRequests_[o]: non-empty and holding an output VC on port o.
+    Bitmask vcaPending_;
+    std::vector<Bitmask> saRequests_;  // [output port]
+    Bitmask vcaRequested_;  // VC-allocation arbiters [o*numVcs+v] posted to
+    std::size_t buffered_ = 0;  // flits in all input buffers
     InlineEvent<InputQueuedRouter> pipelineEvent_;
 
     // Observability. All pointers are nullptr when observability is

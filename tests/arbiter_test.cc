@@ -2,8 +2,11 @@
  *  by every policy. */
 #include <gtest/gtest.h>
 
+#include <list>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "arbiter/arbiter.h"
 #include "core/simulator.h"
@@ -198,6 +201,186 @@ TEST(RandomArbiter, AllContendersWinEventually)
         EXPECT_LT(w, 650);
     }
 }
+
+// ----- differential test against a naive reference model -----
+
+// The policies written the obvious way: one flag per client, modular
+// scans, an explicit LRU list. Every arbiter must pick the same winner
+// and keep the same fairness state as this model.
+class ReferenceArbiter {
+  public:
+    ReferenceArbiter(std::string policy, std::uint32_t size, Random rng)
+        : policy_(std::move(policy)), size_(size), requests_(size, false),
+          metadata_(size, 0), rng_(rng)
+    {
+        for (std::uint32_t i = 0; i < size; ++i) {
+            lru_.push_back(i);
+        }
+    }
+
+    void
+    request(std::uint32_t client, std::uint64_t metadata)
+    {
+        requests_[client] = true;
+        metadata_[client] = metadata;
+    }
+
+    void cancel(std::uint32_t client) { requests_[client] = false; }
+
+    std::uint32_t
+    numRequests() const
+    {
+        std::uint32_t n = 0;
+        for (bool r : requests_) {
+            n += r ? 1 : 0;
+        }
+        return n;
+    }
+
+    std::uint32_t
+    arbitrate()
+    {
+        std::uint32_t winner =
+            numRequests() == 0 ? Arbiter::kNone : select();
+        requests_.assign(size_, false);
+        return winner;
+    }
+
+    void
+    grant(std::uint32_t winner)
+    {
+        if (policy_ == "round_robin" || policy_ == "age") {
+            next_ = (winner + 1) % size_;
+        } else if (policy_ == "lru") {
+            lru_.remove(winner);
+            lru_.push_back(winner);
+        }
+    }
+
+  private:
+    std::uint32_t
+    select()
+    {
+        std::uint32_t winner = Arbiter::kNone;
+        if (policy_ == "round_robin" || policy_ == "age") {
+            for (std::uint32_t i = 0; i < size_; ++i) {
+                std::uint32_t c = (next_ + i) % size_;
+                if (requests_[c] &&
+                    (winner == Arbiter::kNone ||
+                     (policy_ == "age" && metadata_[c] < metadata_[winner]))) {
+                    winner = c;
+                }
+            }
+        } else if (policy_ == "fixed_priority") {
+            for (std::uint32_t c = 0; c < size_; ++c) {
+                if (requests_[c]) {
+                    return c;
+                }
+            }
+        } else if (policy_ == "lru") {
+            for (std::uint32_t c : lru_) {
+                if (requests_[c]) {
+                    return c;
+                }
+            }
+        } else if (policy_ == "random") {
+            std::uint64_t pick = rng_.nextU64(numRequests());
+            for (std::uint32_t c = 0; c < size_; ++c) {
+                if (requests_[c] && pick-- == 0) {
+                    return c;
+                }
+            }
+        }
+        return winner;
+    }
+
+    std::string policy_;
+    std::uint32_t size_;
+    std::vector<bool> requests_;
+    std::vector<std::uint64_t> metadata_;
+    std::uint32_t next_ = 0;
+    std::list<std::uint32_t> lru_;
+    Random rng_;
+};
+
+class ArbiterDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
+  protected:
+    Simulator sim_;
+};
+
+TEST_P(ArbiterDifferentialTest, MatchesReferenceModel)
+{
+    auto [policy, size] = GetParam();
+    auto arb = makeArbiter(&sim_, policy, size);
+    // The reference draws from a copy of the arbiter's own stream.
+    ReferenceArbiter ref(policy, size, arb->random());
+    Random rng(size * 31 + 7);
+
+    // Requests every client outside @p excluded with equal metadata and
+    // arbitrates without granting, size times: the winners are the full
+    // priority order the arbiter's fairness state encodes.
+    auto probeOrder = [&](int round) {
+        std::vector<bool> excluded(size, false);
+        for (std::uint32_t k = 0; k < size; ++k) {
+            for (std::uint32_t c = 0; c < size; ++c) {
+                if (!excluded[c]) {
+                    arb->request(c, 0);
+                    ref.request(c, 0);
+                }
+            }
+            std::uint32_t got = arb->arbitrate();
+            ASSERT_EQ(got, ref.arbitrate())
+                << policy << " size " << size << " round " << round
+                << " probe " << k;
+            excluded[got] = true;
+        }
+    };
+
+    for (int round = 0; round < 40; ++round) {
+        // Sparse to dense request sets, small metadata range for ties,
+        // repeated requests overwrite metadata, some cancels.
+        double density = rng.nextF64();
+        for (std::uint32_t c = 0; c < size; ++c) {
+            if (rng.nextBool(density)) {
+                std::uint64_t meta = rng.nextU64(4);
+                arb->request(c, meta);
+                ref.request(c, meta);
+            }
+        }
+        for (std::uint32_t i = 0; i < 3; ++i) {
+            std::uint32_t c = static_cast<std::uint32_t>(rng.nextU64(size));
+            if (rng.nextBool(0.5)) {
+                arb->cancel(c);
+                ref.cancel(c);
+            } else {
+                std::uint64_t meta = rng.nextU64(4);
+                arb->request(c, meta);
+                ref.request(c, meta);
+            }
+        }
+        ASSERT_EQ(arb->numRequests(), ref.numRequests());
+        std::uint32_t winner = arb->arbitrate();
+        ASSERT_EQ(winner, ref.arbitrate())
+            << policy << " size " << size << " round " << round;
+        ASSERT_EQ(arb->numRequests(), 0u);
+        // Some wins go ungranted: the fairness state must not move.
+        if (winner != Arbiter::kNone && rng.nextBool(0.75)) {
+            arb->grant(winner);
+            ref.grant(winner);
+        }
+        probeOrder(round);
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPoliciesAndSizes, ArbiterDifferentialTest,
+    ::testing::Combine(::testing::Values("round_robin", "age", "random",
+                                         "lru", "fixed_priority"),
+                       ::testing::Values(1u, 7u, 63u, 64u, 65u, 130u)));
 
 TEST(Arbiter, InvalidSizeIsFatal)
 {

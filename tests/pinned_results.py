@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Pinned results of the input-queued routers under every allocation
+policy.
+
+    python3 tests/pinned_results.py SUPERSIM GOLDEN_JSON [--record]
+
+Runs SUPERSIM on small generated HyperX configs, with input-queued and
+input-output-queued routers, over every combination of flow control
+(flit_buffer, packet_buffer, winner_take_all), switch-allocation arbiter
+and VC-allocation arbiter (round_robin, age, lru, fixed_priority,
+random). One more config per architecture and policy has more than 64
+input VCs per router (ports x VCs), so arbiter requests span several
+64-bit words. The end-to-end benchmark only runs round-robin arbiters;
+these cases pin everything it does not reach.
+
+Each case's result is SUPERSIM's --json output without the host-side
+`engine` block and the build `version`, dumped with sorted keys; its
+SHA-256 is compared with GOLDEN_JSON. --record rewrites GOLDEN_JSON
+from SUPERSIM instead. Exits 1 on any mismatch.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+FLOW_CONTROLS = ["flit_buffer", "packet_buffer", "winner_take_all"]
+POLICIES = ["round_robin", "age", "lru", "fixed_priority", "random"]
+ARCHITECTURES = ["input_queued", "input_output_queued"]
+
+
+def config(arch, flow_control, sa_policy, vca_policy, wide=False):
+    """A small adaptive HyperX that keeps its allocators contended:
+    multi-flit packets (so packet locks matter), UGAL with a credit
+    sensor (so VC allocation has several options and random
+    tie-breaks). `wide` gives 6 ports x 12 VCs = 72 input VCs."""
+    router = {
+        "architecture": arch,
+        "input_buffer_size": 8,
+        "crossbar_latency": 1,
+        "crossbar_scheduler": {
+            "flow_control": flow_control,
+            "arbiter": {"type": sa_policy},
+        },
+        "vc_allocator": {"arbiter": {"type": vca_policy}},
+        "congestion_sensor": {
+            "type": "credit",
+            "latency": 1,
+            "granularity": "vc",
+            "pools": "downstream",
+        },
+    }
+    if arch == "input_output_queued":
+        router["output_buffer_size"] = 8
+    return {
+        "simulator": {"seed": 5, "time_limit": 20000},
+        "network": {
+            "topology": "hyperx",
+            "widths": [3, 3] if wide else [2, 2],
+            "concentration": 2,
+            "num_vcs": 12 if wide else 2,
+            "clock_period": 1,
+            "channel_latency": 2,
+            "terminal_latency": 1,
+            "router": router,
+            "routing": {"algorithm": "hyperx_ugal"},
+        },
+        "workload": {
+            "applications": [
+                {
+                    "type": "blast",
+                    "injection_rate": 0.45,
+                    "message_size": 8,
+                    "max_packet_size": 4,
+                    "warmup_duration": 300,
+                    "sample_duration": 1000,
+                    "traffic": {"type": "uniform_random"},
+                }
+            ]
+        },
+    }
+
+
+def cases():
+    for arch in ARCHITECTURES:
+        for fc in FLOW_CONTROLS:
+            for sa in POLICIES:
+                for vca in POLICIES:
+                    yield f"{arch}/{fc}/sa_{sa}/vca_{vca}", config(
+                        arch, fc, sa, vca)
+        for policy in POLICIES:
+            yield f"{arch}/wide/{policy}", config(
+                arch, "flit_buffer", policy, policy, wide=True)
+
+
+def digest(supersim, cfg, workdir):
+    cfg_path = os.path.join(workdir, "config.json")
+    out_path = os.path.join(workdir, "result.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    subprocess.run([supersim, cfg_path, f"--json={out_path}"], check=True,
+                   stdout=subprocess.DEVNULL, cwd=workdir)
+    with open(out_path) as f:
+        result = json.load(f)
+    result.pop("engine")
+    result.pop("version")
+    canonical = json.dumps(result, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("supersim")
+    parser.add_argument("golden")
+    parser.add_argument("--record", action="store_true")
+    args = parser.parse_args()
+    supersim = os.path.abspath(args.supersim)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        results = {name: digest(supersim, cfg, workdir)
+                   for name, cfg in cases()}
+    if args.record:
+        with open(args.golden, "w") as f:
+            json.dump(results, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"recorded {len(results)} cases to {args.golden}")
+        return 0
+
+    with open(args.golden) as f:
+        golden = json.load(f)
+    names = sorted(set(results) | set(golden))
+    failed = [n for n in names if results.get(n) != golden.get(n)]
+    for name in failed:
+        print(f"MISMATCH {name}: got {results.get(name)}, "
+              f"pinned {golden.get(name)}")
+    print(f"{len(names) - len(failed)}/{len(names)} cases match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
