@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 
+#include "core/clock.h"
 #include "core/event.h"
 #include "core/logging.h"
 #include "core/simulator.h"
@@ -59,6 +60,22 @@ class Component {
     schedule(Event* event, Time time, bool background = false)
     {
         simulator_->scheduleFor(partition_, event, time, background);
+    }
+
+    /** Schedules @p event at the first edge of @p clock strictly after
+     *  now, in the pipeline phase (eps::kPipeline), unless it is already
+     *  pending: the clock-driven wake-up of routers and interfaces. */
+    void
+    wakeAtEdge(Event* event, const Clock& clock)
+    {
+        if (event->pending()) {
+            return;
+        }
+        Time when(clock.nextEdge(now().tick), eps::kPipeline);
+        if (when <= now()) {
+            when = Time(clock.futureEdge(now().tick, 1), eps::kPipeline);
+        }
+        schedule(event, when);
     }
 
     /** Schedules a one-shot callable on this component's partition. */

@@ -125,6 +125,13 @@ Simulator::setupPartitions(std::uint32_t count)
 void
 Simulator::checkSchedulable(std::uint32_t partition, Time time)
 {
+    // Checked before any event is taken from a pool, so the fatal path
+    // leaks nothing.
+    if (time.epsilon >= kNumLanes) [[unlikely]] {
+        fatal("epsilon ", static_cast<unsigned>(time.epsilon),
+              " out of range: the engine supports epsilon 0..",
+              kNumLanes - 1);
+    }
     const std::uint32_t target = resolveTarget(partition);
     const ExecCtx& ctx = tlsCtx_;
     if (ctx.sim == this && ctx.index == target) [[likely]] {
@@ -171,11 +178,6 @@ Simulator::checkSchedulable(std::uint32_t partition, Time time)
 std::uint64_t
 Simulator::makeKey(PartitionQueue& q, Epsilon epsilon)
 {
-    if (epsilon >= kNumLanes) [[unlikely]] {
-        fatal("epsilon ", static_cast<unsigned>(epsilon),
-              " out of range: the engine supports epsilon 0..",
-              kNumLanes - 1);
-    }
     return (static_cast<std::uint64_t>(epsilon) << kSeqBits) |
            q.sequence++;
 }
@@ -434,6 +436,36 @@ Simulator::cancel(Event* event)
     return true;
 }
 
+void
+Simulator::releaseBucket(PartitionQueue& q, Bucket& bucket, Tick tick)
+{
+    for (std::size_t lane = 0; lane < kNumLanes; ++lane) {
+        bucket.lanes[lane].clear();
+        bucket.heads[lane] = 0;
+    }
+    std::size_t b = tick & q.bucketMask;
+    q.occupancy[b >> 6] &= ~(1ULL << (b & 63));
+}
+
+[[gnu::always_inline]] inline bool
+Simulator::execute(PartitionQueue& q, const QueueEntry& entry)
+{
+    Event* event = entry.event;
+    if (entry.kind() == EntryKind::kExternal &&
+        (event->schedKey_ != entry.key || !event->time_.valid()))
+        [[unlikely]] {
+        return false;  // cancelled tombstone — already discounted
+    }
+    --q.liveCount;
+    q.foregroundPending -= static_cast<std::uint64_t>(!entry.background());
+    q.now = entry.time();
+    event->time_ = Time::invalid();
+    event->process();
+    recycle(q, entry);
+    ++q.eventsExecuted;
+    return true;
+}
+
 std::uint64_t
 Simulator::run()
 {
@@ -482,28 +514,9 @@ Simulator::runSerial()
             --bucket.live;
             --q.bucketedCount;
             if (bucket.live == 0) {
-                for (std::size_t lane = 0; lane < kNumLanes; ++lane) {
-                    bucket.lanes[lane].clear();
-                    bucket.heads[lane] = 0;
-                }
-                std::size_t b = entry.tick & q.bucketMask;
-                q.occupancy[b >> 6] &= ~(1ULL << (b & 63));
+                releaseBucket(q, bucket, entry.tick);
             }
-            Event* event = entry.event;
-            if (entry.kind() == EntryKind::kExternal &&
-                (event->schedKey_ != entry.key || !event->time_.valid()))
-                [[unlikely]] {
-                continue;  // cancelled tombstone — already discounted
-            }
-            --q.liveCount;
-            q.foregroundPending -=
-                static_cast<std::uint64_t>(!entry.background());
-            q.now = entry.time();
-            event->time_ = Time::invalid();
-            event->process();
-            recycle(q, entry);
-            ++q.eventsExecuted;
-            if (heartbeatSeconds_ > 0 &&
+            if (execute(q, entry) && heartbeatSeconds_ > 0 &&
                 (q.eventsExecuted & 0x3fff) == 0) [[unlikely]] {
                 maybeHeartbeat();
             }
@@ -611,28 +624,9 @@ Simulator::drainTick(PartitionQueue& q, Tick tick)
         --bucket.live;
         --q.bucketedCount;
         if (bucket.live == 0) {
-            for (std::size_t lane = 0; lane < kNumLanes; ++lane) {
-                bucket.lanes[lane].clear();
-                bucket.heads[lane] = 0;
-            }
-            std::size_t b = entry.tick & q.bucketMask;
-            q.occupancy[b >> 6] &= ~(1ULL << (b & 63));
+            releaseBucket(q, bucket, entry.tick);
         }
-        Event* event = entry.event;
-        if (entry.kind() == EntryKind::kExternal &&
-            (event->schedKey_ != entry.key || !event->time_.valid()))
-            [[unlikely]] {
-            continue;  // cancelled tombstone — already discounted
-        }
-        --q.liveCount;
-        q.foregroundPending -=
-            static_cast<std::uint64_t>(!entry.background());
-        q.now = entry.time();
-        event->time_ = Time::invalid();
-        event->process();
-        recycle(q, entry);
-        ++q.eventsExecuted;
-        ++executed;
+        executed += execute(q, entry);
     } while (bucket.live > 0);
     return executed;
 }
@@ -666,29 +660,10 @@ Simulator::drainControlTick(Tick tick, std::size_t max_lane)
         QueueEntry entry = bucket.lanes[e][bucket.heads[e]++];
         --bucket.live;
         --q.bucketedCount;
-        Event* event = entry.event;
-        if (entry.kind() == EntryKind::kExternal &&
-            (event->schedKey_ != entry.key || !event->time_.valid()))
-            [[unlikely]] {
-            continue;  // cancelled tombstone — already discounted
-        }
-        --q.liveCount;
-        q.foregroundPending -=
-            static_cast<std::uint64_t>(!entry.background());
-        q.now = entry.time();
-        event->time_ = Time::invalid();
-        event->process();
-        recycle(q, entry);
-        ++q.eventsExecuted;
-        ++executed;
+        executed += execute(q, entry);
     }
     if (bucket.live == 0) {
-        for (std::size_t lane = 0; lane < kNumLanes; ++lane) {
-            bucket.lanes[lane].clear();
-            bucket.heads[lane] = 0;
-        }
-        std::size_t b = tick & q.bucketMask;
-        q.occupancy[b >> 6] &= ~(1ULL << (b & 63));
+        releaseBucket(q, bucket, tick);
     }
     return executed;
 }

@@ -511,6 +511,12 @@ class Simulator {
     CallbackEvent* acquireCallback();
     PooledEvent* acquirePooled();
     void recycle(PartitionQueue& q, const QueueEntry& entry);
+    /** Empties a drained bucket's lanes and clears its occupancy bit. */
+    void releaseBucket(PartitionQueue& q, Bucket& bucket, Tick tick);
+    /** The one event-execution step of every run loop: runs @p entry,
+     *  just popped from @p q, unless it is a cancelled tombstone. Returns
+     *  whether it ran. */
+    bool execute(PartitionQueue& q, const QueueEntry& entry);
     std::uint64_t runSerial();
     std::uint64_t runParallel();
     std::uint64_t drainTick(PartitionQueue& q, Tick tick);

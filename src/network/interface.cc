@@ -118,16 +118,7 @@ Interface::injectMessage(std::unique_ptr<Message> message)
 void
 Interface::activate()
 {
-    if (injectionEvent_.pending()) {
-        return;
-    }
-    Tick edge = channelClock_.nextEdge(now().tick);
-    Time when(edge, eps::kPipeline);
-    if (when <= now()) {
-        when = Time(channelClock_.futureEdge(now().tick, 1),
-                    eps::kPipeline);
-    }
-    schedule(&injectionEvent_, when);
+    wakeAtEdge(&injectionEvent_, channelClock_);
 }
 
 void

@@ -4,6 +4,7 @@
 #include "json/settings.h"
 #include "network/network.h"
 #include "power/power_model.h"
+#include "types/message.h"
 
 namespace ss {
 
@@ -250,6 +251,108 @@ Router::returnCredit(std::uint32_t port, std::uint32_t vc)
     checkSim(creditReturnChannels_[port] != nullptr,
              "no credit return channel on port ", port);
     creditReturnChannels_[port]->inject(Credit{vc, 1}, now().tick);
+}
+
+Router::OutputQueueStage::OutputQueueStage(Router* router,
+                                           std::uint32_t size)
+    : router_(router), size_(size)
+{
+    std::size_t slots =
+        static_cast<std::size_t>(router->numPorts_) * router->numVcs_;
+    queues_.resize(slots);
+    reserved_.resize(slots, 0);
+    events_.resize(router->numPorts_);
+    for (std::uint32_t o = 0; o < router->numPorts_; ++o) {
+        events_[o].bind(this, &OutputQueueStage::processOutput, o);
+        drainArbiters_.push_back(ArbiterFactory::instance().createUnique(
+            "round_robin", router->simulator(), strf("drain_arb_", o),
+            router, router->numVcs_, json::Value::object()));
+    }
+}
+
+void
+Router::OutputQueueStage::initSensorCapacity()
+{
+    for (std::uint32_t o = 0; o < router_->numPorts_; ++o) {
+        for (std::uint32_t v = 0; v < router_->numVcs_; ++v) {
+            router_->sensor()->initCapacity(o, v, CreditPool::kOutputQueue,
+                                            size_);
+        }
+    }
+}
+
+void
+Router::OutputQueueStage::reserve(std::uint32_t port, std::uint32_t vc)
+{
+    ++reserved_[router_->pv(port, vc)];
+    router_->sensor()->creditEvent(port, vc, CreditPool::kOutputQueue, +1);
+}
+
+void
+Router::OutputQueueStage::transfer(Flit* flit, std::uint32_t port,
+                                   std::uint32_t vc, Time arrival)
+{
+    router_->simulator()
+        ->scheduleInlineFor<&OutputQueueStage::completeTransfer>(
+            router_->partition(), this,
+            Transfer{flit, port,
+                     static_cast<std::uint32_t>(router_->pv(port, vc))},
+            arrival);
+}
+
+void
+Router::OutputQueueStage::completeTransfer(Transfer transfer)
+{
+    --reserved_[transfer.index];
+    queues_[transfer.index].push_back(transfer.flit);
+    if (router_->activity_) {
+        ++router_->activity_->bufferWrites;
+    }
+    activateOutput(transfer.port);
+}
+
+void
+Router::OutputQueueStage::activateOutput(std::uint32_t port)
+{
+    router_->wakeAtEdge(&events_[port], router_->channelClock_);
+}
+
+void
+Router::OutputQueueStage::processOutput(std::uint32_t port)
+{
+    Router& r = *router_;
+    Tick tick = r.now().tick;
+    if (r.outputChannels_[port]->available(tick) && !r.portStalled(port)) {
+        Arbiter* arb = drainArbiters_[port].get();
+        for (std::uint32_t v = 0; v < r.numVcs_; ++v) {
+            const auto& q = queues_[r.pv(port, v)];
+            if (!q.empty() && r.credits(port, v) > 0) {
+                arb->request(v, q.front()->packet()->injectTime().tick);
+            }
+        }
+        std::uint32_t vc = arb->arbitrate();
+        if (vc != Arbiter::kNone) {
+            arb->grant(vc);
+            std::size_t i = r.pv(port, vc);
+            Flit* flit = queues_[i].front();
+            queues_[i].pop_front();
+            if (r.activity_) {
+                ++r.activity_->arbitrations;
+                ++r.activity_->bufferReads;
+            }
+            r.sensor()->creditEvent(port, vc, CreditPool::kOutputQueue, -1);
+            r.takeCredit(port, vc);
+            r.outputChannels_[port]->inject(flit, tick);
+            // Freed space may unblock stalled inputs.
+            r.activate();
+        }
+    }
+    for (std::uint32_t v = 0; v < r.numVcs_; ++v) {
+        if (!queues_[r.pv(port, v)].empty()) {
+            activateOutput(port);
+            break;
+        }
+    }
 }
 
 }  // namespace ss

@@ -8,14 +8,18 @@
  *
  * The base class owns the structures every microarchitecture shares:
  * port/channel wiring, downstream credit accounting, the congestion
- * sensor, and per-input-port routing engines.
+ * sensor, and per-input-port routing engines. It also defines the
+ * output-queue stage that the output-queued and input-output-queued
+ * microarchitectures both own.
  */
 #ifndef SS_NETWORK_ROUTER_H_
 #define SS_NETWORK_ROUTER_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
+#include "arbiter/arbiter.h"
 #include "congestion/congestion_sensor.h"
 #include "core/clock.h"
 #include "core/component.h"
@@ -109,6 +113,66 @@ class Router : public Component,
     void faultEnd(const fault::FaultEdge& edge) override;
 
   protected:
+    /**
+     * Per-(output port, VC) output queues drained onto the output
+     * channels (DESIGN.md §13). A flit reserves its slot when it leaves
+     * its input (reserve()), crosses the router core (transfer()) and
+     * lands in the queue. Each output channel cycle, a round-robin
+     * arbiter per port picks one VC that has a queued flit and a
+     * downstream credit.
+     */
+    class OutputQueueStage {
+      public:
+        /** @param size flits per queue; 0 means infinite. */
+        OutputQueueStage(Router* router, std::uint32_t size);
+
+        std::uint32_t size() const { return size_; }
+
+        /** Queued plus reserved flits of (port, vc). */
+        std::size_t
+        occupancy(std::uint32_t port, std::uint32_t vc) const
+        {
+            std::size_t i = router_->pv(port, vc);
+            return queues_[i].size() + reserved_[i];
+        }
+
+        bool
+        hasSpace(std::uint32_t port, std::uint32_t vc) const
+        {
+            return size_ == 0 || occupancy(port, vc) < size_;
+        }
+
+        /** Declares the queue depth to the sensor (from finalize()). */
+        void initSensorCapacity();
+
+        /** Reserves a slot of (port, vc); the sensor sees it at once. */
+        void reserve(std::uint32_t port, std::uint32_t vc);
+
+        /** Lands @p flit in the slot it reserved on (port, vc) at
+         *  @p arrival. */
+        void transfer(Flit* flit, std::uint32_t port, std::uint32_t vc,
+                      Time arrival);
+
+      private:
+        /** A flit crossing the router core toward queue `index`. */
+        struct Transfer {
+            Flit* flit;
+            std::uint32_t port;
+            std::uint32_t index;
+        };
+
+        void completeTransfer(Transfer transfer);
+        void activateOutput(std::uint32_t port);
+        void processOutput(std::uint32_t port);
+
+        Router* router_;
+        std::uint32_t size_;
+        std::vector<std::deque<Flit*>> queues_;  // [port*numVcs+vc]
+        std::vector<std::uint32_t> reserved_;    // in-transit slots
+        std::vector<std::unique_ptr<Arbiter>> drainArbiters_;  // per port
+        std::deque<InlineEvent<OutputQueueStage, std::uint32_t>> events_;
+    };
+
     /** True while a fault stalls output @p port: microarchitectures
      *  gate their output stages on this (one null-pointer branch when
      *  faults never touched this router). */

@@ -117,7 +117,7 @@ std::size_t
 InputQueuedRouter::inputOccupancy(std::uint32_t port,
                                   std::uint32_t vc) const
 {
-    return inputs_[iv(port, vc)].buffer.size();
+    return inputs_[pv(port, vc)].buffer.size();
 }
 
 void
@@ -126,7 +126,7 @@ InputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
     checkSim(port < numPorts_, "flit port out of range");
     std::uint32_t vc = flit->vc();
     checkSim(vc < numVcs_, "flit vc out of range");
-    InputVc& state = inputs_[iv(port, vc)];
+    InputVc& state = inputs_[pv(port, vc)];
     // Buffers never silently overrun (§IV-D).
     checkSim(state.buffer.size() < inputBufferSize_,
              fullName(), ": input buffer overrun on port ", port, " vc ",
@@ -134,9 +134,9 @@ InputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
     state.buffer.push_back(flit);
     ++buffered_;
     if (state.allocated) {
-        saRequests_[state.outPort].set(iv(port, vc));
+        saRequests_[state.outPort].set(pv(port, vc));
     } else {
-        vcaPending_.set(iv(port, vc));
+        vcaPending_.set(pv(port, vc));
     }
     if (activity_) {
         ++activity_->bufferWrites;
@@ -153,14 +153,7 @@ InputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
 void
 InputQueuedRouter::activate()
 {
-    if (pipelineEvent_.pending()) {
-        return;
-    }
-    Time when(coreClock().nextEdge(now().tick), eps::kPipeline);
-    if (when <= now()) {
-        when = Time(coreClock().futureEdge(now().tick, 1), eps::kPipeline);
-    }
-    schedule(&pipelineEvent_, when);
+    wakeAtEdge(&pipelineEvent_, coreClock());
 }
 
 void
@@ -211,7 +204,7 @@ InputQueuedRouter::runVcAllocation()
         std::uint32_t ties = 0;
         for (std::uint32_t i = 0; i < state.options.size(); ++i) {
             const auto& opt = state.options[i];
-            if (outputVcAllocated_.test(iv(opt.port, opt.vc))) {
+            if (outputVcAllocated_.test(pv(opt.port, opt.vc))) {
                 continue;
             }
             std::uint32_t space = spaceCount(opt.port, opt.vc);
@@ -231,7 +224,7 @@ InputQueuedRouter::runVcAllocation()
             // Metadata is the packet's injection tick for age-based
             // policies.
             const auto& opt = state.options[best];
-            std::uint32_t resource = iv(opt.port, opt.vc);
+            std::uint32_t resource = pv(opt.port, opt.vc);
             vcaArbiters_[resource]->request(
                 idx, front->packet()->injectTime().tick);
             vcaRequested_.set(resource);
@@ -384,7 +377,7 @@ InputQueuedRouter::runSwitchAllocation()
                 out.locked = false;
             }
             // Release the output VC and prepare for the next packet.
-            outputVcAllocated_.reset(iv(state.outPort, state.outVc));
+            outputVcAllocated_.reset(pv(state.outPort, state.outVc));
             state.allocated = false;
             state.routed = false;
             state.options.clear();

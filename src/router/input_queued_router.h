@@ -99,12 +99,6 @@ class InputQueuedRouter : public Router {
         std::uint32_t holder = 0;  ///< input index holding the lock
     };
 
-    std::size_t
-    iv(std::uint32_t port, std::uint32_t vc) const
-    {
-        return static_cast<std::size_t>(port) * numVcs_ + vc;
-    }
-
     FlowControl flowControl_;
     Tick crossbarLatency_;
 

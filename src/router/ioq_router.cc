@@ -14,27 +14,19 @@ IoqRouter::IoqRouter(Simulator* simulator, const std::string& name,
     : InputQueuedRouter(simulator, name, parent, network, id, num_ports,
                         num_vcs, settings, std::move(routing_factory),
                         channel_period),
-      outputBufferSize_(static_cast<std::uint32_t>(
-          json::getUint(settings, "output_buffer_size", 64)))
+      outputs_(this, static_cast<std::uint32_t>(json::getUint(
+                         settings, "output_buffer_size", 64)))
 {
-    checkUser(outputBufferSize_ > 0,
+    checkUser(outputs_.size() > 0,
               "IOQ output_buffer_size must be > 0 (finite)");
-    std::size_t slots = static_cast<std::size_t>(numPorts_) * numVcs_;
-    outputQueues_.resize(slots);
-    reserved_.resize(slots, 0);
-    outputEvents_.resize(numPorts_);
-    for (std::uint32_t o = 0; o < numPorts_; ++o) {
-        outputEvents_[o].bind(this, &IoqRouter::processOutput, o);
-        drainArbiters_.push_back(ArbiterFactory::instance().createUnique(
-            "round_robin", simulator, strf("drain_arb_", o), this,
-            numVcs_, json::Value::object()));
-    }
     if (simulator->observabilityEnabled()) {
         simulator->metrics().polledGauge(
             fullName() + ".output_occupancy", [this]() {
                 std::size_t total = 0;
-                for (std::size_t i = 0; i < outputQueues_.size(); ++i) {
-                    total += outputQueues_[i].size() + reserved_[i];
+                for (std::uint32_t o = 0; o < numPorts_; ++o) {
+                    for (std::uint32_t v = 0; v < numVcs_; ++v) {
+                        total += outputs_.occupancy(o, v);
+                    }
                 }
                 return static_cast<double>(total);
             });
@@ -43,38 +35,26 @@ IoqRouter::IoqRouter(Simulator* simulator, const std::string& name,
 
 IoqRouter::~IoqRouter() = default;
 
-std::size_t
-IoqRouter::outputOccupancy(std::uint32_t port, std::uint32_t vc) const
-{
-    return outputQueues_[iv(port, vc)].size() + reserved_[iv(port, vc)];
-}
-
 void
 IoqRouter::finalize()
 {
     InputQueuedRouter::finalize();
-    for (std::uint32_t o = 0; o < numPorts_; ++o) {
-        for (std::uint32_t v = 0; v < numVcs_; ++v) {
-            sensor()->initCapacity(o, v, CreditPool::kOutputQueue,
-                                   outputBufferSize_);
-        }
-    }
+    outputs_.initSensorCapacity();
 }
 
 bool
 IoqRouter::hasSpace(std::uint32_t port, std::uint32_t vc) const
 {
-    return outputOccupancy(port, vc) < outputBufferSize_;
+    return outputs_.hasSpace(port, vc);
 }
 
 std::uint32_t
 IoqRouter::spaceCount(std::uint32_t port, std::uint32_t vc) const
 {
-    std::size_t occupied = outputOccupancy(port, vc);
-    return occupied >= outputBufferSize_
+    std::size_t occupied = outputs_.occupancy(port, vc);
+    return occupied >= outputs_.size()
                ? 0
-               : outputBufferSize_ -
-                     static_cast<std::uint32_t>(occupied);
+               : outputs_.size() - static_cast<std::uint32_t>(occupied);
 }
 
 bool
@@ -91,84 +71,14 @@ void
 IoqRouter::dispatch(Flit* flit, std::uint32_t port, std::uint32_t vc,
                     Tick tick)
 {
-    std::size_t i = iv(port, vc);
-    checkSim(outputOccupancy(port, vc) < outputBufferSize_,
-             fullName(), ": output queue overrun on port ", port, " vc ",
-             vc);
+    checkSim(outputs_.hasSpace(port, vc), fullName(),
+             ": output queue overrun on port ", port, " vc ", vc);
     flit->setVc(vc);
-    ++reserved_[i];
     // The sensor sees the occupancy at reservation time — the moment the
     // scheduling decision is made.
-    sensor()->creditEvent(port, vc, CreditPool::kOutputQueue, +1);
-    scheduleInline<&IoqRouter::completeTransfer>(
-        Time(tick + crossbarLatency_, eps::kDelivery),
-        Transfer{flit, port, static_cast<std::uint32_t>(i)});
-}
-
-void
-IoqRouter::completeTransfer(Transfer transfer)
-{
-    --reserved_[transfer.index];
-    outputQueues_[transfer.index].push_back(transfer.flit);
-    if (activity_) {
-        ++activity_->bufferWrites;
-    }
-    activateOutput(transfer.port);
-}
-
-void
-IoqRouter::activateOutput(std::uint32_t port)
-{
-    if (outputEvents_[port].pending()) {
-        return;
-    }
-    Time when(channelClock().nextEdge(now().tick), eps::kPipeline);
-    if (when <= now()) {
-        when = Time(channelClock().futureEdge(now().tick, 1),
-                    eps::kPipeline);
-    }
-    schedule(&outputEvents_[port], when);
-}
-
-void
-IoqRouter::processOutput(std::uint32_t port)
-{
-    Tick tick = now().tick;
-    bool pending = false;
-    if (outputChannels_[port]->available(tick) && !portStalled(port)) {
-        Arbiter* arb = drainArbiters_[port].get();
-        for (std::uint32_t v = 0; v < numVcs_; ++v) {
-            const auto& q = outputQueues_[iv(port, v)];
-            if (!q.empty() && credits(port, v) > 0) {
-                arb->request(v, q.front()->packet()->injectTime().tick);
-            }
-        }
-        std::uint32_t vc = arb->arbitrate();
-        if (vc != Arbiter::kNone) {
-            arb->grant(vc);
-            std::size_t i = iv(port, vc);
-            Flit* flit = outputQueues_[i].front();
-            outputQueues_[i].pop_front();
-            if (activity_) {
-                ++activity_->arbitrations;
-                ++activity_->bufferReads;
-            }
-            sensor()->creditEvent(port, vc, CreditPool::kOutputQueue, -1);
-            takeCredit(port, vc);
-            outputChannels_[port]->inject(flit, tick);
-            // Freed output-queue space may unblock the crossbar.
-            activate();
-        }
-    }
-    for (std::uint32_t v = 0; v < numVcs_; ++v) {
-        if (!outputQueues_[iv(port, v)].empty()) {
-            pending = true;
-            break;
-        }
-    }
-    if (pending) {
-        activateOutput(port);
-    }
+    outputs_.reserve(port, vc);
+    outputs_.transfer(flit, port, vc,
+                      Time(tick + crossbarLatency_, eps::kDelivery));
 }
 
 SS_REGISTER(RouterFactory, "input_output_queued", IoqRouter);

@@ -17,8 +17,6 @@
 #ifndef SS_ROUTER_IOQ_ROUTER_H_
 #define SS_ROUTER_IOQ_ROUTER_H_
 
-#include <deque>
-
 #include "router/input_queued_router.h"
 
 namespace ss {
@@ -34,10 +32,14 @@ class IoqRouter : public InputQueuedRouter {
               Tick channel_period);
     ~IoqRouter() override;
 
-    std::uint32_t outputBufferSize() const { return outputBufferSize_; }
+    std::uint32_t outputBufferSize() const { return outputs_.size(); }
 
     /** Occupancy of an output queue (tests/instrumentation). */
-    std::size_t outputOccupancy(std::uint32_t port, std::uint32_t vc) const;
+    std::size_t
+    outputOccupancy(std::uint32_t port, std::uint32_t vc) const
+    {
+        return outputs_.occupancy(port, vc);
+    }
 
     void finalize() override;
 
@@ -52,24 +54,7 @@ class IoqRouter : public InputQueuedRouter {
                   Tick tick) override;
 
   private:
-    /** An in-crossbar flit heading for output queue slot `index`. */
-    struct Transfer {
-        Flit* flit;
-        std::uint32_t port;
-        std::uint32_t index;
-    };
-
-    void completeTransfer(Transfer transfer);
-    void activateOutput(std::uint32_t port);
-    void processOutput(std::uint32_t port);
-
-    std::uint32_t outputBufferSize_;
-    // Per (port, vc): queued flits plus slots reserved by in-crossbar
-    // flits that have not landed yet.
-    std::vector<std::deque<Flit*>> outputQueues_;
-    std::vector<std::uint32_t> reserved_;
-    std::vector<std::unique_ptr<Arbiter>> drainArbiters_;  // per port
-    std::deque<InlineEvent<IoqRouter, std::uint32_t>> outputEvents_;
+    OutputQueueStage outputs_;
 };
 
 }  // namespace ss

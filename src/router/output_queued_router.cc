@@ -13,9 +13,9 @@ OutputQueuedRouter::OutputQueuedRouter(
     RoutingAlgorithmFactoryFn routing_factory, Tick channel_period)
     : Router(simulator, name, parent, network, id, num_ports, num_vcs,
              settings, std::move(routing_factory), channel_period),
-      outputBufferSize_(static_cast<std::uint32_t>(
-          json::getUint(settings, "output_buffer_size", 0))),
       coreLatency_(json::getUint(settings, "core_latency", 1)),
+      outputs_(this, static_cast<std::uint32_t>(json::getUint(
+                         settings, "output_buffer_size", 0))),
       pipelineEvent_(this, &OutputQueuedRouter::processInputs)
 {
     checkUser(coreLatency_ >= 1, "core_latency must be >= 1 tick");
@@ -23,15 +23,6 @@ OutputQueuedRouter::OutputQueuedRouter(
     inputs_.resize(slots);
     outputLocked_.resize(slots, false);
     outputHolder_.resize(slots, 0);
-    outputQueues_.resize(slots);
-    reserved_.resize(slots, 0);
-    outputEvents_.resize(numPorts_);
-    for (std::uint32_t o = 0; o < numPorts_; ++o) {
-        outputEvents_[o].bind(this, &OutputQueuedRouter::processOutput, o);
-        drainArbiters_.push_back(ArbiterFactory::instance().createUnique(
-            "round_robin", simulator, strf("drain_arb_", o), this,
-            numVcs_, json::Value::object()));
-    }
 }
 
 OutputQueuedRouter::~OutputQueuedRouter() = default;
@@ -40,34 +31,14 @@ std::size_t
 OutputQueuedRouter::inputOccupancy(std::uint32_t port,
                                    std::uint32_t vc) const
 {
-    return inputs_[iv(port, vc)].buffer.size();
-}
-
-std::size_t
-OutputQueuedRouter::outputOccupancy(std::uint32_t port,
-                                    std::uint32_t vc) const
-{
-    return outputQueues_[iv(port, vc)].size() + reserved_[iv(port, vc)];
+    return inputs_[pv(port, vc)].buffer.size();
 }
 
 void
 OutputQueuedRouter::finalize()
 {
     Router::finalize();
-    for (std::uint32_t o = 0; o < numPorts_; ++o) {
-        for (std::uint32_t v = 0; v < numVcs_; ++v) {
-            sensor()->initCapacity(o, v, CreditPool::kOutputQueue,
-                                   outputBufferSize_);
-        }
-    }
-}
-
-bool
-OutputQueuedRouter::outputHasSpace(std::uint32_t port,
-                                   std::uint32_t vc) const
-{
-    return outputBufferSize_ == 0 ||
-           outputOccupancy(port, vc) < outputBufferSize_;
+    outputs_.initSensorCapacity();
 }
 
 void
@@ -76,7 +47,7 @@ OutputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
     checkSim(port < numPorts_, "flit port out of range");
     std::uint32_t vc = flit->vc();
     checkSim(vc < numVcs_, "flit vc out of range");
-    InputVc& state = inputs_[iv(port, vc)];
+    InputVc& state = inputs_[pv(port, vc)];
     checkSim(state.buffer.size() < inputBufferSize_,
              fullName(), ": input buffer overrun on port ", port, " vc ",
              vc);
@@ -93,14 +64,7 @@ OutputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
 void
 OutputQueuedRouter::activate()
 {
-    if (pipelineEvent_.pending()) {
-        return;
-    }
-    Time when(coreClock().nextEdge(now().tick), eps::kPipeline);
-    if (when <= now()) {
-        when = Time(coreClock().futureEdge(now().tick, 1), eps::kPipeline);
-    }
-    schedule(&pipelineEvent_, when);
+    wakeAtEdge(&pipelineEvent_, coreClock());
 }
 
 void
@@ -113,7 +77,7 @@ OutputQueuedRouter::processInputs()
     // All inputs transfer independently — no scheduling conflicts.
     for (std::uint32_t port = 0; port < numPorts_; ++port) {
         for (std::uint32_t vc = 0; vc < numVcs_; ++vc) {
-            InputVc& state = inputs_[iv(port, vc)];
+            InputVc& state = inputs_[pv(port, vc)];
             if (state.buffer.empty()) {
                 continue;
             }
@@ -140,16 +104,16 @@ OutputQueuedRouter::processInputs()
                 state.outVc = options[best].vc;
                 state.routed = true;
             }
-            std::size_t oi = iv(state.outPort, state.outVc);
+            std::size_t oi = pv(state.outPort, state.outVc);
             std::uint32_t self = static_cast<std::uint32_t>(
-                iv(port, vc));
+                pv(port, vc));
             // Wormhole contiguity: only the packet holding the output VC
             // may feed it (locked from its head until its tail).
             if (outputLocked_[oi] && outputHolder_[oi] != self) {
                 pending = true;
                 continue;
             }
-            if (!outputHasSpace(state.outPort, state.outVc)) {
+            if (!outputs_.hasSpace(state.outPort, state.outVc)) {
                 pending = true;  // stall; retry when the queue drains
                 continue;
             }
@@ -162,9 +126,7 @@ OutputQueuedRouter::processInputs()
             }
             // Reserve the slot now; the sensor sees the decision
             // immediately (its own latency delays visibility).
-            ++reserved_[oi];
-            sensor()->creditEvent(state.outPort, state.outVc,
-                                  CreditPool::kOutputQueue, +1);
+            outputs_.reserve(state.outPort, state.outVc);
             state.buffer.pop_front();
             if (activity_) {
                 ++activity_->bufferReads;
@@ -175,10 +137,8 @@ OutputQueuedRouter::processInputs()
                 state.routed = false;
             }
             flit->setVc(state.outVc);
-            scheduleInline<&OutputQueuedRouter::completeTransfer>(
-                Time(tick + coreLatency_, eps::kDelivery),
-                Transfer{flit, state.outPort,
-                         static_cast<std::uint32_t>(oi)});
+            outputs_.transfer(flit, state.outPort, state.outVc,
+                              Time(tick + coreLatency_, eps::kDelivery));
             if (!state.buffer.empty()) {
                 pending = true;
             }
@@ -186,68 +146,6 @@ OutputQueuedRouter::processInputs()
     }
     if (pending) {
         activate();
-    }
-}
-
-void
-OutputQueuedRouter::completeTransfer(Transfer transfer)
-{
-    --reserved_[transfer.index];
-    outputQueues_[transfer.index].push_back(transfer.flit);
-    if (activity_) {
-        ++activity_->bufferWrites;
-    }
-    activateOutput(transfer.port);
-}
-
-void
-OutputQueuedRouter::activateOutput(std::uint32_t port)
-{
-    if (outputEvents_[port].pending()) {
-        return;
-    }
-    Time when(channelClock().nextEdge(now().tick), eps::kPipeline);
-    if (when <= now()) {
-        when = Time(channelClock().futureEdge(now().tick, 1),
-                    eps::kPipeline);
-    }
-    schedule(&outputEvents_[port], when);
-}
-
-void
-OutputQueuedRouter::processOutput(std::uint32_t port)
-{
-    Tick tick = now().tick;
-    if (outputChannels_[port]->available(tick) && !portStalled(port)) {
-        Arbiter* arb = drainArbiters_[port].get();
-        for (std::uint32_t v = 0; v < numVcs_; ++v) {
-            const auto& q = outputQueues_[iv(port, v)];
-            if (!q.empty() && credits(port, v) > 0) {
-                arb->request(v, q.front()->packet()->injectTime().tick);
-            }
-        }
-        std::uint32_t vc = arb->arbitrate();
-        if (vc != Arbiter::kNone) {
-            arb->grant(vc);
-            std::size_t i = iv(port, vc);
-            Flit* flit = outputQueues_[i].front();
-            outputQueues_[i].pop_front();
-            if (activity_) {
-                ++activity_->arbitrations;
-                ++activity_->bufferReads;
-            }
-            sensor()->creditEvent(port, vc, CreditPool::kOutputQueue, -1);
-            takeCredit(port, vc);
-            outputChannels_[port]->inject(flit, tick);
-            // Freed space may unblock stalled inputs.
-            activate();
-        }
-    }
-    for (std::uint32_t v = 0; v < numVcs_; ++v) {
-        if (!outputQueues_[iv(port, v)].empty()) {
-            activateOutput(port);
-            break;
-        }
     }
 }
 

@@ -15,10 +15,8 @@
 #define SS_ROUTER_OUTPUT_QUEUED_ROUTER_H_
 
 #include <deque>
-#include <memory>
 #include <vector>
 
-#include "arbiter/arbiter.h"
 #include "network/router.h"
 
 namespace ss {
@@ -35,12 +33,15 @@ class OutputQueuedRouter : public Router {
     ~OutputQueuedRouter() override;
 
     /** 0 means infinite. */
-    std::uint32_t outputBufferSize() const { return outputBufferSize_; }
+    std::uint32_t outputBufferSize() const { return outputs_.size(); }
     Tick coreLatency() const { return coreLatency_; }
 
     std::size_t inputOccupancy(std::uint32_t port, std::uint32_t vc) const;
-    std::size_t outputOccupancy(std::uint32_t port,
-                                std::uint32_t vc) const;
+    std::size_t
+    outputOccupancy(std::uint32_t port, std::uint32_t vc) const
+    {
+        return outputs_.occupancy(port, vc);
+    }
 
     void finalize() override;
 
@@ -51,19 +52,7 @@ class OutputQueuedRouter : public Router {
     void activate() override;
 
   private:
-    /** A flit crossing the router core toward output queue `index`. */
-    struct Transfer {
-        Flit* flit;
-        std::uint32_t port;
-        std::uint32_t index;
-    };
-
     void processInputs();
-    void completeTransfer(Transfer transfer);
-    void activateOutput(std::uint32_t port);
-    void processOutput(std::uint32_t port);
-
-    bool outputHasSpace(std::uint32_t port, std::uint32_t vc) const;
 
     struct InputVc {
         std::deque<Flit*> buffer;
@@ -72,13 +61,6 @@ class OutputQueuedRouter : public Router {
         std::uint32_t outVc = 0;
     };
 
-    std::size_t
-    iv(std::uint32_t port, std::uint32_t vc) const
-    {
-        return static_cast<std::size_t>(port) * numVcs_ + vc;
-    }
-
-    std::uint32_t outputBufferSize_;
     Tick coreLatency_;
 
     std::vector<InputVc> inputs_;                 // [port*numVcs+vc]
@@ -86,12 +68,8 @@ class OutputQueuedRouter : public Router {
     // to tail so packets never interleave inside an output queue.
     std::vector<bool> outputLocked_;              // [port*numVcs+vc]
     std::vector<std::uint32_t> outputHolder_;     // input index
-    std::vector<std::deque<Flit*>> outputQueues_;  // [port*numVcs+vc]
-    std::vector<std::uint32_t> reserved_;          // in-transit slots
-    std::vector<std::unique_ptr<Arbiter>> drainArbiters_;  // per port
+    OutputQueueStage outputs_;
     InlineEvent<OutputQueuedRouter> pipelineEvent_;
-    std::deque<InlineEvent<OutputQueuedRouter, std::uint32_t>>
-        outputEvents_;
 };
 
 }  // namespace ss

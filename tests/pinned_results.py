@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Pinned results of the input-queued routers under every allocation
-policy.
+"""Pinned results of every router microarchitecture and of the shipped
+configs.
 
     python3 tests/pinned_results.py SUPERSIM GOLDEN_JSON [--record]
 
@@ -12,6 +12,11 @@ random). One more config per architecture and policy has more than 64
 input VCs per router (ports x VCs), so arbiter requests span several
 64-bit words. The end-to-end benchmark only runs round-robin arbiters;
 these cases pin everything it does not reach.
+
+Further cases pin the output-queued router with multi-flit packets
+(finite and infinite output queues, with and without core speedup), the
+input-output-queued router with core speedup, and every run config
+shipped in configs/ as it is.
 
 Each case's result is SUPERSIM's --json output without the host-side
 `engine` block and the build `version`, dumped with sorted keys; its
@@ -27,34 +32,21 @@ import subprocess
 import sys
 import tempfile
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "configs")
+SHIPPED = ["clos_latent_congestion", "dragonfly_allreduce",
+           "fb_credit_accounting", "torus_allreduce", "torus_flow_control",
+           "torus_linkfail", "torus_quickstart"]
 FLOW_CONTROLS = ["flit_buffer", "packet_buffer", "winner_take_all"]
 POLICIES = ["round_robin", "age", "lru", "fixed_priority", "random"]
 ARCHITECTURES = ["input_queued", "input_output_queued"]
 
 
-def config(arch, flow_control, sa_policy, vca_policy, wide=False):
-    """A small adaptive HyperX that keeps its allocators contended:
-    multi-flit packets (so packet locks matter), UGAL with a credit
-    sensor (so VC allocation has several options and random
-    tie-breaks). `wide` gives 6 ports x 12 VCs = 72 input VCs."""
-    router = {
-        "architecture": arch,
-        "input_buffer_size": 8,
-        "crossbar_latency": 1,
-        "crossbar_scheduler": {
-            "flow_control": flow_control,
-            "arbiter": {"type": sa_policy},
-        },
-        "vc_allocator": {"arbiter": {"type": vca_policy}},
-        "congestion_sensor": {
-            "type": "credit",
-            "latency": 1,
-            "granularity": "vc",
-            "pools": "downstream",
-        },
-    }
-    if arch == "input_output_queued":
-        router["output_buffer_size"] = 8
+def hyperx(router, wide=False, clock_period=1):
+    """A small adaptive HyperX that keeps its routers contended:
+    multi-flit packets (so packet locks matter) and UGAL (so routing has
+    several options and random tie-breaks). `wide` gives 6 ports x 12
+    VCs = 72 input VCs."""
     return {
         "simulator": {"seed": 5, "time_limit": 20000},
         "network": {
@@ -62,7 +54,7 @@ def config(arch, flow_control, sa_policy, vca_policy, wide=False):
             "widths": [3, 3] if wide else [2, 2],
             "concentration": 2,
             "num_vcs": 12 if wide else 2,
-            "clock_period": 1,
+            "clock_period": clock_period,
             "channel_latency": 2,
             "terminal_latency": 1,
             "router": router,
@@ -84,6 +76,48 @@ def config(arch, flow_control, sa_policy, vca_policy, wide=False):
     }
 
 
+def sensor(pools):
+    return {"type": "credit", "latency": 1, "granularity": "vc",
+            "pools": pools}
+
+
+def config(arch, flow_control, sa_policy, vca_policy, wide=False,
+           speedup=1):
+    """An input-queued or input-output-queued router with a credit
+    sensor, so VC allocation has several options. A `speedup` above 1
+    also sets the channel clock period to it, which it must divide."""
+    router = {
+        "architecture": arch,
+        "input_buffer_size": 8,
+        "crossbar_latency": 1,
+        "crossbar_scheduler": {
+            "flow_control": flow_control,
+            "arbiter": {"type": sa_policy},
+        },
+        "vc_allocator": {"arbiter": {"type": vca_policy}},
+        "congestion_sensor": sensor("downstream"),
+    }
+    if arch == "input_output_queued":
+        router["output_buffer_size"] = 8
+    if speedup > 1:
+        router["speedup"] = speedup
+    return hyperx(router, wide, clock_period=speedup)
+
+
+def oq_config(output_buffer_size, speedup):
+    """The output-queued router: multi-flit packets hold the wormhole
+    output lock across flits, and the sensor counts output-queue and
+    downstream occupancy. Clock period 2 lets speedup 2 divide it;
+    output_buffer_size 0 means infinite output queues."""
+    return hyperx({
+        "architecture": "output_queued",
+        "input_buffer_size": 8,
+        "output_buffer_size": output_buffer_size,
+        "speedup": speedup,
+        "congestion_sensor": sensor("both"),
+    }, clock_period=2)
+
+
 def cases():
     for arch in ARCHITECTURES:
         for fc in FLOW_CONTROLS:
@@ -94,13 +128,25 @@ def cases():
         for policy in POLICIES:
             yield f"{arch}/wide/{policy}", config(
                 arch, "flit_buffer", policy, policy, wide=True)
+    for size in [0, 8]:
+        for speedup in [1, 2]:
+            yield (f"output_queued/output_buffer_{size}/speedup_{speedup}",
+                   oq_config(size, speedup))
+    yield "input_output_queued/speedup_2", config(
+        "input_output_queued", "flit_buffer", "round_robin", "round_robin",
+        speedup=2)
+    for name in SHIPPED:
+        yield f"configs/{name}", os.path.join(CONFIGS, f"{name}.json")
 
 
 def digest(supersim, cfg, workdir):
-    cfg_path = os.path.join(workdir, "config.json")
+    """`cfg` is a config dict or the path of a config file."""
+    cfg_path = cfg
+    if isinstance(cfg, dict):
+        cfg_path = os.path.join(workdir, "config.json")
+        with open(cfg_path, "w") as f:
+            json.dump(cfg, f)
     out_path = os.path.join(workdir, "result.json")
-    with open(cfg_path, "w") as f:
-        json.dump(cfg, f)
     subprocess.run([supersim, cfg_path, f"--json={out_path}"], check=True,
                    stdout=subprocess.DEVNULL, cwd=workdir)
     with open(out_path) as f:
