@@ -88,7 +88,8 @@ void
 Simulator::requestParallel(std::uint32_t threads, std::uint32_t partitions)
 {
     checkUser(threads >= 1, "simulator.threads must be >= 1");
-    checkSim(!parallel_, "requestParallel after partitions were set up");
+    checkSim(numPartitions_ == 0,
+             "requestParallel after partitions were set up");
     parallelRequested_ = true;
     threadsRequested_ = threads;
     partitionsRequested_ = partitions;
@@ -99,7 +100,7 @@ Simulator::setupPartitions(std::uint32_t count)
 {
     checkSim(parallelRequested_,
              "setupPartitions without requestParallel");
-    checkSim(!parallel_, "setupPartitions called twice");
+    checkSim(numPartitions_ == 0, "setupPartitions called twice");
     checkSim(count >= 1, "partition count must be >= 1");
     PartitionQueue& q0 = *queues_[0];
     checkSim(q0.liveCount == 0 && q0.overflow.empty() && q0.sequence == 0,
@@ -113,7 +114,6 @@ Simulator::setupPartitions(std::uint32_t count)
         q->occupancy.assign((horizonConfig_ + 63) / 64, 0);
         queues_.push_back(std::move(q));
     }
-    parallel_ = true;
     numPartitions_ = count;
     controlIndex_ = count;
     numThreads_ = std::min(threadsRequested_, count);
@@ -168,11 +168,9 @@ Simulator::checkSchedulable(std::uint32_t partition, Time time)
         panic("scheduling event in the past: ", time.toString(), " < ",
               queues_[target]->now.toString());
     }
-    if (running_ && parallel_) {
-        checkSim(!(inFinalSweep_ && target != controlIndex_ &&
-                   time.tick == barrierTick_),
-                 "stats-phase event scheduled same-tick partition work");
-    }
+    checkSim(!(inFinalSweep_ && target != controlIndex_ &&
+               time.tick == barrierTick_),
+             "stats-phase event scheduled same-tick partition work");
 }
 
 std::uint64_t
@@ -289,6 +287,26 @@ Simulator::materialize(PartitionQueue& q)
     }
     q.windowBase = bucket_tick;
     return q.buckets[bucket_tick & q.bucketMask];
+}
+
+Simulator::Bucket*
+Simulator::tickBucket(PartitionQueue& q, Tick tick)
+{
+    // The barrier tick is the earliest pending tick of every queue
+    // (see run()), and checkSchedulable() keeps new events at or
+    // after it. So when no overflow event is due, a set occupancy bit at
+    // the tick's slot inside the window can only mean that tick: one bit
+    // test instead of a scan.
+    if (!q.overflow.empty() && q.overflow.top().tick <= tick) [[unlikely]] {
+        return &materialize(q);
+    }
+    const std::size_t slot = tick & q.bucketMask;
+    if (tick - q.windowBase >= q.numBuckets ||
+        (q.occupancy[slot >> 6] & (1ULL << (slot & 63))) == 0) {
+        return nullptr;
+    }
+    q.windowBase = tick;
+    return &q.buckets[slot];
 }
 
 CallbackEvent*
@@ -420,8 +438,7 @@ Simulator::cancel(Event* event)
     }
     checkSim(event->schedQueue_ != kOutboxed,
              "cannot cancel an event parked in a cross-partition mailbox");
-    checkSim(!parallel_ || !running_ ||
-                 tlsCtx_.sim != this ||
+    checkSim(!running_ || tlsCtx_.sim != this ||
                  tlsCtx_.index == event->schedQueue_ ||
                  tlsCtx_.index == controlIndex_,
              "cannot cancel another partition's pending event");
@@ -466,78 +483,51 @@ Simulator::execute(PartitionQueue& q, const QueueEntry& entry)
     return true;
 }
 
+[[gnu::always_inline]] inline std::uint64_t
+Simulator::drainTick(PartitionQueue& q, Tick tick, std::size_t max_lane)
+{
+    Bucket* bucket = tickBucket(q, tick);
+    if (bucket == nullptr) {
+        return 0;
+    }
+    // Without worker partitions the run ends as soon as no foreground
+    // event is pending, even mid-tick: same-tick background samples after
+    // the last foreground event stay queued. With workers, every tick
+    // drains completely.
+    const bool stop_when_idle = numPartitions_ == 0;
+    std::uint64_t executed = 0;
+    do {
+        // Lowest non-empty lane at or below max_lane; lanes above it
+        // (stats samples) wait for the final sweep of this tick.
+        std::size_t e = 0;
+        while (bucket->heads[e] >= bucket->lanes[e].size()) {
+            if (++e > max_lane) {
+                checkSim(max_lane + 1 < kNumLanes,
+                         "bucket live count corrupt");
+                return executed;
+            }
+        }
+        QueueEntry entry = bucket->lanes[e][bucket->heads[e]++];
+        --bucket->live;
+        --q.bucketedCount;
+        if (bucket->live == 0) {
+            releaseBucket(q, *bucket, entry.tick);
+        }
+        executed += execute(q, entry);
+    } while (bucket->live > 0 && (q.foregroundPending > 0 || !stop_when_idle));
+    return executed;
+}
+
 std::uint64_t
 Simulator::run()
 {
     checkSim(!running_, "Simulator::run() is not reentrant");
-    if (parallelRequested_ && !parallel_) {
+    if (parallelRequested_ && numPartitions_ == 0) {
         // Nothing set partitions up (no network in this simulation):
         // fall back to one partition per requested thread.
         setupPartitions(partitionsRequested_ > 0 ? partitionsRequested_
                                                  : threadsRequested_);
     }
-    return parallel_ ? runParallel() : runSerial();
-}
-
-std::uint64_t
-Simulator::runSerial()
-{
-    running_ = true;
-    PartitionQueue& q = *queues_[0];
-    tlsCtx_ = ExecCtx{this, &q, 0};
-    const std::uint64_t start_count = q.eventsExecuted;
-    const auto wall_start = std::chrono::steady_clock::now();
-    heartbeatWall_ = wall_start;
-    heartbeatEvents_ = q.eventsExecuted;
-    // Run while *foreground* work remains; background events (periodic
-    // observability samples) execute in time order alongside but never
-    // keep the simulation alive on their own.
-    while (q.foregroundPending > 0) {
-        Bucket& bucket = materialize(q);
-        // materialize() leaves windowBase on the bucket's (single) tick.
-        if (timeLimit_ > 0 && q.windowBase > timeLimit_) [[unlikely]] {
-            timeLimitHit_ = true;
-            break;
-        }
-        // Drain the bucket without re-scanning: events scheduled while
-        // it drains land either in this same bucket (same tick) or
-        // strictly later, so it stays the earliest until empty.
-        do {
-            // The earliest entry heads the lowest-epsilon non-empty
-            // lane.
-            std::size_t e = 0;
-            while (bucket.heads[e] >= bucket.lanes[e].size()) {
-                ++e;
-                checkSim(e < kNumLanes, "bucket live count corrupt");
-            }
-            QueueEntry entry = bucket.lanes[e][bucket.heads[e]++];
-            --bucket.live;
-            --q.bucketedCount;
-            if (bucket.live == 0) {
-                releaseBucket(q, bucket, entry.tick);
-            }
-            if (execute(q, entry) && heartbeatSeconds_ > 0 &&
-                (q.eventsExecuted & 0x3fff) == 0) [[unlikely]] {
-                maybeHeartbeat();
-            }
-        } while (bucket.live > 0 && q.foregroundPending > 0);
-    }
-    tlsCtx_ = ExecCtx{};
-    const std::uint64_t executed = q.eventsExecuted - start_count;
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    runWallSeconds_ += seconds;
-    lastRunEventRate_ =
-        seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0;
-    running_ = false;
-    return executed;
-}
-
-std::uint64_t
-Simulator::runParallel()
-{
     running_ = true;
     if (workers_.empty() && numThreads_ > 1) {
         spawnWorkers();
@@ -549,41 +539,55 @@ Simulator::runParallel()
     heartbeatWall_ = wall_start;
     heartbeatEvents_ = start_count;
     // Barrier-synchronous loop: pick the globally earliest tick, run a
-    // fixpoint of {worker phase, control phase} over that tick, then
-    // commit the channel mailboxes for future ticks. Foreground
-    // accounting is checked only at barriers, so a tick always drains
-    // completely (unlike the serial loop's mid-bucket stop — both are
-    // deterministic, and every thread count agrees with --threads 1).
-    while (totalForegroundPending() > 0) {
-        const Tick tick = nextGlobalTick();
+    // fixpoint of {worker phase, control phase} over that tick, take the
+    // stats samples, then commit the channel mailboxes for future ticks.
+    // Run while *foreground* work remains; background events (periodic
+    // observability samples) execute in time order alongside but never
+    // keep the simulation alive on their own. A serial run has no worker
+    // partitions, so each of its ticks is one control drain.
+    for (;;) {
+        std::uint64_t foreground = control.foregroundPending;
+        Tick tick = nextQueueTick(control);
+        for (std::uint32_t p = 0; p < numPartitions_; ++p) {
+            const PartitionQueue& q = *queues_[p];
+            foreground += q.foregroundPending;
+            tick = std::min(tick, nextQueueTick(q));
+        }
+        if (foreground == 0) {
+            break;
+        }
         checkSim(tick != kNoTick, "foreground accounting corrupt");
         if (timeLimit_ > 0 && tick > timeLimit_) [[unlikely]] {
             timeLimitHit_ = true;
             break;
         }
         barrierTick_ = tick;
-        // Fixpoint: control events may schedule same-tick partition work
-        // (application start commands) and workers may notify the
-        // control plane same-tick through their mailboxes, so alternate
-        // until the tick is quiet. The control phase holds back its
-        // stats lanes (epsilon > kControl) so re-entering the tick never
-        // regresses the control queue past a stats sample.
-        std::uint64_t moved = 1;
-        while (moved > 0) {
-            moved = runWorkerPhase(tick);
-            moved += commitControlOutboxes();
-            moved += drainControlTick(tick, eps::kControl);
+        if (numPartitions_ == 0) {
+            drainTick(control, tick);
+        } else {
+            // Fixpoint: control events may schedule same-tick partition
+            // work (application start commands) and workers may notify
+            // the control plane same-tick through their mailboxes, so
+            // alternate until the tick is quiet. The control phase holds
+            // back its stats lanes (epsilon > kControl) so re-entering
+            // the tick never regresses the control queue past a stats
+            // sample.
+            std::uint64_t moved = 1;
+            while (moved > 0) {
+                moved = runWorkerPhase(tick);
+                moved += commitControlOutboxes();
+                moved += drainTick(control, tick, eps::kControl);
+            }
+            // The tick is quiet below the stats lanes: the final sweep
+            // takes the stats samples with every partition parked.
+            inFinalSweep_ = true;
+            drainTick(control, tick);
+            inFinalSweep_ = false;
+            // Commit cross-partition channel deliveries (strictly future
+            // ticks) in partition order — the deterministic merge.
+            commitOutboxes();
         }
-        // The tick is quiet below the stats lanes: take the stats
-        // samples with every partition parked at the barrier.
-        inFinalSweep_ = true;
-        drainControlTick(tick, kNumLanes - 1);
-        inFinalSweep_ = false;
-        // Commit cross-partition channel deliveries (strictly future
-        // ticks) in partition order — the deterministic merge.
-        commitOutboxes();
-        ++barrierCount_;
-        if (heartbeatSeconds_ > 0 && (barrierCount_ & 0x3ff) == 0)
+        if (heartbeatSeconds_ > 0 && (++barrierCount_ & 0x3ff) == 0)
             [[unlikely]] {
             maybeHeartbeat();
         }
@@ -598,73 +602,6 @@ Simulator::runParallel()
     lastRunEventRate_ =
         seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0;
     running_ = false;
-    return executed;
-}
-
-std::uint64_t
-Simulator::drainTick(PartitionQueue& q, Tick tick)
-{
-    if (q.bucketedCount == 0 && q.overflow.empty()) {
-        return 0;
-    }
-    const Tick queue_tick = nextQueueTick(q);
-    if (queue_tick != tick) {
-        checkSim(queue_tick > tick, "partition fell behind the barrier");
-        return 0;
-    }
-    Bucket& bucket = materialize(q);
-    std::uint64_t executed = 0;
-    do {
-        std::size_t e = 0;
-        while (bucket.heads[e] >= bucket.lanes[e].size()) {
-            ++e;
-            checkSim(e < kNumLanes, "bucket live count corrupt");
-        }
-        QueueEntry entry = bucket.lanes[e][bucket.heads[e]++];
-        --bucket.live;
-        --q.bucketedCount;
-        if (bucket.live == 0) {
-            releaseBucket(q, bucket, entry.tick);
-        }
-        executed += execute(q, entry);
-    } while (bucket.live > 0);
-    return executed;
-}
-
-std::uint64_t
-Simulator::drainControlTick(Tick tick, std::size_t max_lane)
-{
-    PartitionQueue& q = *queues_[controlIndex_];
-    if (q.bucketedCount == 0 && q.overflow.empty()) {
-        return 0;
-    }
-    const Tick queue_tick = nextQueueTick(q);
-    if (queue_tick != tick) {
-        checkSim(queue_tick > tick,
-                 "control partition fell behind the barrier");
-        return 0;
-    }
-    Bucket& bucket = materialize(q);
-    std::uint64_t executed = 0;
-    for (;;) {
-        // Lowest non-empty lane at or below max_lane; lanes above it
-        // (stats samples) wait for the final sweep of this tick.
-        std::size_t e = 0;
-        while (e <= max_lane &&
-               bucket.heads[e] >= bucket.lanes[e].size()) {
-            ++e;
-        }
-        if (e > max_lane) {
-            break;
-        }
-        QueueEntry entry = bucket.lanes[e][bucket.heads[e]++];
-        --bucket.live;
-        --q.bucketedCount;
-        executed += execute(q, entry);
-    }
-    if (bucket.live == 0) {
-        releaseBucket(q, bucket, tick);
-    }
     return executed;
 }
 
@@ -740,29 +677,6 @@ Simulator::commitOutboxes()
         }
         box.clear();
     }
-}
-
-std::uint64_t
-Simulator::totalForegroundPending() const
-{
-    std::uint64_t total = 0;
-    for (const auto& q : queues_) {
-        total += q->foregroundPending;
-    }
-    return total;
-}
-
-Tick
-Simulator::nextGlobalTick() const
-{
-    Tick tick = kNoTick;
-    for (const auto& q : queues_) {
-        const Tick t = nextQueueTick(*q);
-        if (t < tick) {
-            tick = t;
-        }
-    }
-    return tick;
 }
 
 void

@@ -17,14 +17,16 @@
  * Event wrappers for closures/payload deliveries are recycled through
  * free lists, so steady-state scheduling performs no heap allocation.
  *
- * Partitioned parallel execution (DESIGN.md §9): when requested, the
- * simulator shards components across P partitions, each with its own
- * two-level queue and sequence counter, plus one control partition for
- * the workload/observability plane. Partitions drain one tick at a time
- * under a barrier; Channel/CreditChannel edges (latency >= 1 tick — the
- * lookahead) are the only cross-partition schedules and travel through
- * per-partition mailboxes committed in fixed partition order at the tick
- * boundary. Per-partition sequences plus ordered commits make the result
+ * One run loop drains every simulation (DESIGN.md §7). A serial run has
+ * a single control queue and no worker partitions. Partitioned parallel
+ * execution (DESIGN.md §9), when requested, shards components across P
+ * worker partitions, each with its own two-level queue and sequence
+ * counter, beside the control partition for the workload/observability
+ * plane. Partitions drain one tick at a time under a barrier;
+ * Channel/CreditChannel edges (latency >= 1 tick — the lookahead) are the
+ * only cross-partition schedules and travel through per-partition
+ * mailboxes committed in fixed partition order at the tick boundary.
+ * Per-partition sequences plus ordered commits make the result
  * independent of the worker-thread count: `--threads N` is byte-identical
  * to `--threads 1`.
  *
@@ -140,20 +142,14 @@ class Simulator {
      *  one control partition at index count. */
     void setupPartitions(std::uint32_t count);
 
-    /** True once the partitioned executer is active. */
-    bool isParallel() const { return parallel_; }
-    std::uint32_t numWorkerPartitions() const
-    {
-        return parallel_ ? numPartitions_ : 0;
-    }
+    /** True once worker partitions exist; a serial run has none. */
+    bool isParallel() const { return numPartitions_ > 0; }
+    std::uint32_t numWorkerPartitions() const { return numPartitions_; }
 
     /** Stable shard indexing for per-partition stats/trace buffers:
      *  worker partitions are shards [0, P), the control partition is
      *  shard P. Serial mode has a single shard, 0. */
-    std::uint32_t numShards() const
-    {
-        return parallel_ ? numPartitions_ + 1 : 1;
-    }
+    std::uint32_t numShards() const { return numPartitions_ + 1; }
     std::uint32_t controlShard() const { return controlIndex_; }
     std::uint32_t
     currentShard() const
@@ -508,6 +504,9 @@ class Simulator {
     Tick nextBucketTick(const PartitionQueue& q) const;
     Tick nextQueueTick(const PartitionQueue& q) const;
     Bucket& materialize(PartitionQueue& q);
+    /** @p q's bucket for the barrier @p tick with the window moved onto
+     *  it, or nullptr when @p q has nothing at that tick. */
+    Bucket* tickBucket(PartitionQueue& q, Tick tick);
     CallbackEvent* acquireCallback();
     PooledEvent* acquirePooled();
     void recycle(PartitionQueue& q, const QueueEntry& entry);
@@ -517,15 +516,13 @@ class Simulator {
      *  just popped from @p q, unless it is a cancelled tombstone. Returns
      *  whether it ran. */
     bool execute(PartitionQueue& q, const QueueEntry& entry);
-    std::uint64_t runSerial();
-    std::uint64_t runParallel();
-    std::uint64_t drainTick(PartitionQueue& q, Tick tick);
-    std::uint64_t drainControlTick(Tick tick, std::size_t max_lane);
+    /** Runs @p q's events at the barrier @p tick in lanes up to
+     *  @p max_lane; returns how many ran. */
+    std::uint64_t drainTick(PartitionQueue& q, Tick tick,
+                            std::size_t max_lane = kNumLanes - 1);
     std::uint64_t runWorkerPhase(Tick tick);
     std::uint64_t commitControlOutboxes();
     void commitOutboxes();
-    std::uint64_t totalForegroundPending() const;
-    Tick nextGlobalTick() const;
     void spawnWorkers();
     void stopWorkers();
     void workerLoop(std::uint32_t worker);
@@ -539,11 +536,9 @@ class Simulator {
     bool debug_ = false;
     bool obsEnabled_ = false;
 
-    // Partitioned execution state. Serial mode is the single queue
-    // queues_[0] (which is also the control index), preserving the PR 3
-    // engine behavior exactly.
+    // Partitioned execution state. Serial mode has no worker partitions:
+    // the single queue queues_[0] is the control queue.
     bool parallelRequested_ = false;
-    bool parallel_ = false;
     std::uint32_t threadsRequested_ = 1;
     std::uint32_t partitionsRequested_ = 0;
     std::uint32_t numPartitions_ = 0;

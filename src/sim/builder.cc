@@ -20,7 +20,7 @@ Simulation::Simulation(const json::Value& config) : config_(config)
 
     // Partitioned parallel execution: "threads" >= 1 turns it on (the
     // network picks the partition plan during construction); absent/0
-    // keeps the legacy serial engine. "partitions" overrides the
+    // runs serially, with no worker partitions. "partitions" overrides the
     // Partitioner's automatic count (0 = automatic).
     std::uint64_t threads = json::getUint(sim_settings, "threads", 0);
     std::uint64_t partitions =

@@ -56,7 +56,6 @@ class LatencySampler {
 
     const std::vector<MessageSample>& samples() const { return samples_; }
     std::size_t count() const { return samples_.size(); }
-    void clear() { samples_.clear(); }
 
     /** Distribution of end-to-end message latencies. */
     Distribution totalLatencyDistribution() const;

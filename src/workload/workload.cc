@@ -1,5 +1,7 @@
 #include "workload/workload.h"
 
+#include <utility>
+
 #include "json/settings.h"
 #include "workload/application.h"
 
@@ -29,21 +31,12 @@ Workload::Workload(Simulator* simulator, const std::string& name,
               "'applications' must be a non-empty array");
 
     rateMonitor_.resize(network->numInterfaces());
-    if (simulator->isParallel()) {
-        samplerShards_.resize(simulator->numShards());
-        rateShards_.resize(simulator->numShards());
-        for (auto& shard : rateShards_) {
-            shard.resize(network->numInterfaces());
-        }
-    }
+    samplerShards_.resize(simulator->numShards());
+    rateShards_.assign(simulator->numShards(),
+                       RateMonitor(network->numInterfaces()));
     network->setEjectMonitor([this](const Message* message) {
-        Simulator* sim = this->simulator();
-        if (sim->isParallel()) {
-            rateShards_[sim->currentShard()].recordFlit(
-                message->source());
-        } else {
-            rateMonitor_.recordFlit(message->source());
-        }
+        rateShards_[this->simulator()->currentShard()].recordFlit(
+            message->source());
     });
 
     for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -186,34 +179,38 @@ Workload::recordDelivered(const Message* message)
     sample.minHops =
         network_->minimalHops(message->source(), message->destination());
     sample.nonminimal = message->tookNonminimal();
-    if (simulator()->isParallel()) {
-        // Worker threads buffer into their partition's shard; the log is
-        // written from finalize() in shard order.
-        samplerShards_[simulator()->currentShard()].record(sample);
-    } else {
-        sampler_.record(sample);
-        if (log_) {
-            log_->write(sample);
-        }
-    }
+    // Worker threads buffer into their partition's shard; the log is
+    // written from finalize() in shard order.
+    samplerShards_[simulator()->currentShard()].record(sample);
 }
 
 void
 Workload::finalize()
 {
-    if (finalized_ || !simulator()->isParallel()) {
-        finalized_ = true;
+    if (finalized_) {
         return;
     }
     finalized_ = true;
-    for (auto& shard : samplerShards_) {
-        for (const MessageSample& sample : shard.samples()) {
-            sampler_.record(sample);
-            if (log_) {
-                log_->write(sample);
+    if (samplerShards_.size() == 1) {
+        // A serial run's one shard becomes the sampler without a copy.
+        // Partitioned runs copy into a fresh sampler: adopting the first
+        // shard's buffer and growing it raised the peak RSS of repeated
+        // in-process runs.
+        sampler_ = std::move(samplerShards_[0]);
+    } else {
+        for (const LatencySampler& shard : samplerShards_) {
+            for (const MessageSample& sample : shard.samples()) {
+                sampler_.record(sample);
             }
         }
-        shard.clear();
+    }
+    for (LatencySampler& shard : samplerShards_) {
+        shard = LatencySampler();
+    }
+    if (log_) {
+        for (const MessageSample& sample : sampler_.samples()) {
+            log_->write(sample);
+        }
     }
     for (auto& shard : rateShards_) {
         rateMonitor_.merge(shard);

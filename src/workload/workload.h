@@ -74,16 +74,15 @@ class Workload : public Component {
     void applicationComplete(std::uint32_t app_id);
     void applicationDone(std::uint32_t app_id);
 
-    /** Records a delivered message; sampled messages enter the sampler
-     *  and the log (into the calling partition's shard in parallel
-     *  mode). */
+    /** Records a delivered message; sampled messages enter the calling
+     *  partition's shard, bound for the sampler and the log. */
     void recordDelivered(const Message* message);
 
     /** Merges the per-partition stat shards into the primary sampler,
      *  rate monitor, and transaction log, in shard order (worker
-     *  partitions first, control last) — thread-count invariant. Must be
-     *  called after run(), before reading the accessors below; no-op in
-     *  serial mode and on repeat calls. */
+     *  partitions first, control last) — thread-count invariant — and
+     *  frees the shards. Must be called after run(), before reading the
+     *  accessors below; no-op on repeat calls. */
     void finalize();
 
     // ----- sampling-window instrumentation -----
@@ -109,8 +108,8 @@ class Workload : public Component {
     RateMonitor rateMonitor_;
     std::unique_ptr<TransactionLog> log_;
 
-    /** Parallel mode: per-partition stat buffers (indexed by
-     *  Simulator::currentShard()) so worker threads never touch shared
+    /** Per-partition stat buffers (indexed by Simulator::currentShard();
+     *  a serial run has one) so worker threads never touch shared
      *  collectors; finalize() folds them into the primaries above. */
     std::vector<LatencySampler> samplerShards_;
     std::vector<RateMonitor> rateShards_;

@@ -324,6 +324,27 @@ TEST(Simulator, BackgroundEventsDoNotKeepRunAlive)
     EXPECT_EQ(fg, 2);
 }
 
+TEST(Simulator, SerialRunStopsMidTickWhenForegroundRunsOut)
+{
+    // The serial stop rule: run() ends as soon as no foreground event is
+    // pending, even mid-tick, so a background event later in the same
+    // tick stays queued with the rest. A loop that drains whole ticks
+    // would run it.
+    int fired = 0;
+    CallbackEvent foreground([&]() { ++fired; });
+    CallbackEvent same_tick([&]() { ++fired; });
+    CallbackEvent later([&]() { ++fired; });
+    Simulator sim;
+    sim.schedule(&foreground, Time(10, 0));
+    sim.schedule(&same_tick, Time(10, 3), /*background=*/true);
+    sim.schedule(&later, Time(20), /*background=*/true);
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.eventsPending(), 2u);
+    EXPECT_EQ(sim.now().tick, 10u);
+    EXPECT_TRUE(same_tick.pending());
+}
+
 TEST(Simulator, ScheduleInlineDeliversPayloads)
 {
     struct Obj {

@@ -16,7 +16,10 @@ these cases pin everything it does not reach.
 Further cases pin the output-queued router with multi-flit packets
 (finite and infinite output queues, with and without core speedup), the
 input-output-queued router with core speedup, and every run config
-shipped in configs/ as it is.
+shipped in configs/ as it is. Two cases sample observability every tick
+(torus_quickstart as shipped and a small input-queued HyperX), so a
+collector sample lands on the final tick and `events_executed` pins the
+rule that a serial run stops as soon as no foreground event is pending.
 
 Each case's result is SUPERSIM's --json output without the host-side
 `engine` block and the build `version`, dumped with sorted keys; its
@@ -40,6 +43,8 @@ SHIPPED = ["clos_latent_congestion", "dragonfly_allreduce",
 FLOW_CONTROLS = ["flit_buffer", "packet_buffer", "winner_take_all"]
 POLICIES = ["round_robin", "age", "lru", "fixed_priority", "random"]
 ARCHITECTURES = ["input_queued", "input_output_queued"]
+OBSERVE_EVERY_TICK = ["observability.enabled=bool=true",
+                      "observability.sample_interval=uint=1"]
 
 
 def hyperx(router, wide=False, clock_period=1):
@@ -119,36 +124,44 @@ def oq_config(output_buffer_size, speedup):
 
 
 def cases():
+    """Yields (name, config, command-line overrides)."""
     for arch in ARCHITECTURES:
         for fc in FLOW_CONTROLS:
             for sa in POLICIES:
                 for vca in POLICIES:
                     yield f"{arch}/{fc}/sa_{sa}/vca_{vca}", config(
-                        arch, fc, sa, vca)
+                        arch, fc, sa, vca), []
         for policy in POLICIES:
             yield f"{arch}/wide/{policy}", config(
-                arch, "flit_buffer", policy, policy, wide=True)
+                arch, "flit_buffer", policy, policy, wide=True), []
     for size in [0, 8]:
         for speedup in [1, 2]:
             yield (f"output_queued/output_buffer_{size}/speedup_{speedup}",
-                   oq_config(size, speedup))
+                   oq_config(size, speedup), [])
     yield "input_output_queued/speedup_2", config(
         "input_output_queued", "flit_buffer", "round_robin", "round_robin",
-        speedup=2)
+        speedup=2), []
     for name in SHIPPED:
-        yield f"configs/{name}", os.path.join(CONFIGS, f"{name}.json")
+        yield f"configs/{name}", os.path.join(CONFIGS, f"{name}.json"), []
+    yield ("observability/configs/torus_quickstart",
+           os.path.join(CONFIGS, "torus_quickstart.json"),
+           OBSERVE_EVERY_TICK)
+    yield ("observability/input_queued", config(
+        "input_queued", "flit_buffer", "round_robin", "round_robin"),
+           OBSERVE_EVERY_TICK)
 
 
-def digest(supersim, cfg, workdir):
-    """`cfg` is a config dict or the path of a config file."""
+def digest(supersim, cfg, overrides, workdir):
+    """`cfg` is a config dict or the path of a config file; `overrides`
+    are `key=type=value` arguments applied on top of it."""
     cfg_path = cfg
     if isinstance(cfg, dict):
         cfg_path = os.path.join(workdir, "config.json")
         with open(cfg_path, "w") as f:
             json.dump(cfg, f)
     out_path = os.path.join(workdir, "result.json")
-    subprocess.run([supersim, cfg_path, f"--json={out_path}"], check=True,
-                   stdout=subprocess.DEVNULL, cwd=workdir)
+    subprocess.run([supersim, cfg_path, f"--json={out_path}", *overrides],
+                   check=True, stdout=subprocess.DEVNULL, cwd=workdir)
     with open(out_path) as f:
         result = json.load(f)
     result.pop("engine")
@@ -166,8 +179,8 @@ def main():
     supersim = os.path.abspath(args.supersim)
 
     with tempfile.TemporaryDirectory() as workdir:
-        results = {name: digest(supersim, cfg, workdir)
-                   for name, cfg in cases()}
+        results = {name: digest(supersim, cfg, overrides, workdir)
+                   for name, cfg, overrides in cases()}
     if args.record:
         with open(args.golden, "w") as f:
             json.dump(results, f, indent=1, sort_keys=True)

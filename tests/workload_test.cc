@@ -3,6 +3,7 @@
 
 #include "json/settings.h"
 #include "sim/builder.h"
+#include "stats/transaction_log.h"
 #include "test_util.h"
 #include "tools/log_parser.h"
 
@@ -109,22 +110,33 @@ TEST(Workload, BlastPlusPulseTransient)
 
 TEST(Workload, MessageLogMatchesSampler)
 {
-    std::string log_path = testing::TempDir() + "workload_log.csv";
-    json::Value config = test::makeConfig(kSmallTorus, strf(R"({
-        "message_log": ")", log_path, R"(",
-        "applications": [{
-            "type": "blast", "injection_rate": 0.2,
-            "message_size": 2, "num_samples": 10,
-            "warmup_duration": 200,
-            "traffic": {"type": "uniform_random"}}]})"));
-    RunResult result = runSimulation(config);
-    auto parsed = LogParser::parseFile(log_path);
-    ASSERT_EQ(parsed.size(), result.sampler.count());
-    // Spot-check a full row against the in-memory sample.
-    EXPECT_EQ(parsed[0].id, result.sampler.samples()[0].id);
-    EXPECT_EQ(parsed[0].deliverTick,
-              result.sampler.samples()[0].deliverTick);
-    EXPECT_EQ(parsed[0].flits, 2u);
+    // Serial and partitioned runs both write the log from finalize(),
+    // row for row in sampler order.
+    for (const char* threads : {"", "simulator.threads=uint=2"}) {
+        SCOPED_TRACE(threads);
+        std::string log_path = testing::TempDir() + "workload_log.csv";
+        json::Value config = test::makeConfig(kSmallTorus, strf(R"({
+            "message_log": ")", log_path, R"(",
+            "applications": [{
+                "type": "blast", "injection_rate": 0.2,
+                "message_size": 2, "num_samples": 10,
+                "warmup_duration": 200,
+                "traffic": {"type": "uniform_random"}}]})"));
+        if (*threads != '\0') {
+            json::applyOverrides(&config, {threads});
+        }
+        RunResult result = runSimulation(config);
+        auto parsed = LogParser::parseFile(log_path);
+        const auto& samples = result.sampler.samples();
+        ASSERT_EQ(parsed.size(), samples.size());
+        ASSERT_GT(samples.size(), 0u);
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(TransactionLog::formatRow(parsed[i]),
+                      TransactionLog::formatRow(samples[i]));
+            EXPECT_EQ(parsed[i].flits, 2u);
+        }
+    }
 }
 
 TEST(Workload, ZeroRateBlastCompletesImmediately)
