@@ -66,28 +66,39 @@ CreditSensor::creditEvent(std::uint32_t port, std::uint32_t vc,
         // The change becomes visible to routing only after the
         // propagation delay (latent congestion detection, §VI-A).
         // Updates landing on the same tick share one event.
-        Tick apply = now().tick + latency_;
-        auto [it, inserted] = pending_.try_emplace(apply);
-        it->second.push_back(PendingUpdate{
-            static_cast<std::uint32_t>(p),
-            static_cast<std::uint32_t>(i), delta});
-        if (inserted) {
-            schedule(Time(apply, eps::kSensor),
-                     [this]() { applyPending(); });
-        }
+        batchFor(now().tick + latency_)
+            .push_back(PendingUpdate{static_cast<std::uint32_t>(p),
+                                     static_cast<std::uint32_t>(i), delta});
     }
+}
+
+std::vector<CreditSensor::PendingUpdate>&
+CreditSensor::batchFor(Tick apply)
+{
+    if (!pending_.empty()) {
+        PendingBatch& last = pending_.back();
+        if (last.tick == apply) {
+            return last.updates;
+        }
+        checkSim(last.tick < apply,
+                 "sensor pending-update bookkeeping broke");
+    }
+    PendingBatch& batch = pending_.pushSlot();
+    batch.tick = apply;
+    batch.updates.clear();
+    schedule(Time(apply, eps::kSensor), [this]() { applyPending(); });
+    return batch.updates;
 }
 
 void
 CreditSensor::applyPending()
 {
-    auto it = pending_.begin();
-    checkSim(it != pending_.end() && it->first == now().tick,
+    checkSim(!pending_.empty() && pending_.front().tick == now().tick,
              "sensor pending-update bookkeeping broke");
-    for (const auto& update : it->second) {
+    for (const auto& update : pending_.front().updates) {
         visible_[update.pool][update.index] += update.delta;
     }
-    pending_.erase(it);
+    pending_.pop_front();
 }
 
 double

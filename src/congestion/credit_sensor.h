@@ -16,10 +16,10 @@
 #ifndef SS_CONGESTION_CREDIT_SENSOR_H_
 #define SS_CONGESTION_CREDIT_SENSOR_H_
 
-#include <map>
 #include <vector>
 
 #include "congestion/congestion_sensor.h"
+#include "types/ring_queue.h"
 
 namespace ss {
 
@@ -42,6 +42,10 @@ class CreditSensor : public CongestionSensor {
 
     Tick latency() const { return latency_; }
 
+    /** Ring slots held for delayed updates — grows with the number of
+     *  apply ticks pending at once, never with the latency (tests). */
+    std::size_t pendingSlots() const { return pending_.capacity(); }
+
   private:
     std::size_t
     index(std::uint32_t port, std::uint32_t vc) const
@@ -60,6 +64,15 @@ class CreditSensor : public CongestionSensor {
         std::int32_t delta;
     };
 
+    /** The not-yet-visible updates that become visible at one tick. */
+    struct PendingBatch {
+        Tick tick = 0;
+        std::vector<PendingUpdate> updates;
+    };
+
+    /** The batch that collects updates visible at @p apply, opening a
+     *  new one (and scheduling its event) when @p apply is new. */
+    std::vector<PendingUpdate>& batchFor(Tick apply);
     void applyPending();
 
     Tick latency_;
@@ -75,7 +88,11 @@ class CreditSensor : public CongestionSensor {
 
     // Delayed-visibility machinery: updates are batched per apply tick
     // so the event count stays one per tick, not one per credit event.
-    std::map<Tick, std::vector<PendingUpdate>> pending_;
+    // Apply ticks (now + latency) never decrease, so the batches form a
+    // FIFO whose recycled slots keep their vectors' capacity. The ring
+    // grows only with the number of batches pending at once, never with
+    // the latency itself.
+    RingQueue<PendingBatch> pending_;
 };
 
 }  // namespace ss

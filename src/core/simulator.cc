@@ -583,6 +583,10 @@ Simulator::run()
             inFinalSweep_ = true;
             drainTick(control, tick);
             inFinalSweep_ = false;
+            // The notifications have run: give their wrappers back to
+            // the partitions that lent them, or every worker pool would
+            // keep allocating what control's pools hoard.
+            returnLentWrappers();
             // Commit cross-partition channel deliveries (strictly future
             // ticks) in partition order — the deterministic merge.
             commitOutboxes();
@@ -650,17 +654,40 @@ Simulator::commitControlOutboxes()
     PartitionQueue& control = *queues_[controlIndex_];
     std::uint64_t moved = 0;
     for (std::uint32_t src = 0; src < numPartitions_; ++src) {
-        std::vector<OutItem>& box = queues_[src]->controlOutbox;
-        for (const OutItem& item : box) {
+        PartitionQueue& q = *queues_[src];
+        for (const OutItem& item : q.controlOutbox) {
             item.event->time_ = Time::invalid();
+            const auto kind = static_cast<EntryKind>(item.flags & kKindMask);
+            q.lentPooled += kind == EntryKind::kPooled;
+            q.lentCallback += kind == EntryKind::kCallback;
             enqueueDirect(control, controlIndex_, item.event, item.time,
-                          static_cast<EntryKind>(item.flags & kKindMask),
-                          (item.flags & kBackgroundFlag) != 0);
+                          kind, (item.flags & kBackgroundFlag) != 0);
             ++moved;
         }
-        box.clear();
+        q.controlOutbox.clear();
     }
     return moved;
+}
+
+void
+Simulator::returnLentWrappers()
+{
+    // Any wrapper serves: a recycled wrapper holds no state. Wrappers
+    // whose events are still queued on control stay owed until a later
+    // barrier finds them recycled.
+    auto hand_back = [](auto& from, auto& to, std::size_t& owed) {
+        const std::size_t n = std::min(owed, from.size());
+        to.insert(to.end(), from.end() - static_cast<std::ptrdiff_t>(n),
+                  from.end());
+        from.resize(from.size() - n);
+        owed -= n;
+    };
+    PartitionQueue& control = *queues_[controlIndex_];
+    for (std::uint32_t p = 0; p < numPartitions_; ++p) {
+        PartitionQueue& q = *queues_[p];
+        hand_back(control.pooledPool, q.pooledPool, q.lentPooled);
+        hand_back(control.callbackPool, q.callbackPool, q.lentCallback);
+    }
 }
 
 void

@@ -456,6 +456,11 @@ class Simulator {
         std::size_t callbackAllocated = 0;
         std::size_t pooledAllocated = 0;
         std::size_t peakQueueDepth = 0;
+        /** Wrappers this worker partition took from its pools for
+         *  control-partition events and has not been handed back yet:
+         *  they recycle into control's pools when they run. */
+        std::size_t lentPooled = 0;
+        std::size_t lentCallback = 0;
 
         /** Mailboxes: events this partition scheduled onto other
          *  partitions, committed in partition order at the barrier. */
@@ -522,6 +527,9 @@ class Simulator {
                             std::size_t max_lane = kNumLanes - 1);
     std::uint64_t runWorkerPhase(Tick tick);
     std::uint64_t commitControlOutboxes();
+    /** Moves the wrappers each worker partition lent the control
+     *  partition back from control's pools (as many as they hold). */
+    void returnLentWrappers();
     void commitOutboxes();
     void spawnWorkers();
     void stopWorkers();

@@ -231,7 +231,7 @@ Interface::receiveFlit(std::uint32_t port, Flit* flit)
             checkSim(app < sinks_.size() && sinks_[app] != nullptr,
                      "no message sink for app ", app, " on ", fullName());
             sinks_[app]->messageDelivered(message);
-            network_->releaseMessage(message->id());
+            network_->releaseMessage(message);
         }
     }
 }

@@ -11,7 +11,6 @@
 #ifndef SS_NETWORK_INTERFACE_H_
 #define SS_NETWORK_INTERFACE_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_writer.h"
 #include "types/message.h"
+#include "types/ring_queue.h"
 
 namespace ss {
 
@@ -109,7 +109,7 @@ class Interface : public Component,
     std::uint32_t injectionCreditCapacity_ = 0;
     std::vector<MessageSink*> sinks_;               // per app
 
-    std::deque<Packet*> injectionQueue_;
+    RingQueue<Packet*> injectionQueue_;
     std::uint32_t currentFlitIndex_ = 0;  // within injectionQueue_.front()
     std::uint32_t currentVc_ = 0;         // VC of the streaming packet
     std::uint32_t nextVc_ = 0;            // round-robin VC pointer

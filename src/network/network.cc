@@ -83,21 +83,34 @@ Network::registerMessage(std::unique_ptr<Message> message)
     if (simulator()->isParallel()) {
         lock.lock();
     }
-    std::uint64_t id = message->id();
-    auto [it, inserted] = inFlight_.emplace(id, std::move(message));
-    (void)it;
-    checkSim(inserted, "duplicate in-flight message id ", id);
+    checkSim(message->registrySlot_ == Message::kNoSlot,
+             "message ", message->id(), " registered twice");
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        checkSim(inFlight_.size() < Message::kNoSlot,
+                 "too many messages in flight");
+        slot = static_cast<std::uint32_t>(inFlight_.size());
+        inFlight_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    message->registrySlot_ = slot;
+    inFlight_[slot] = std::move(message);
 }
 
 void
-Network::releaseMessage(std::uint64_t id)
+Network::releaseMessage(Message* message)
 {
     std::unique_lock<std::mutex> lock(inFlightMutex_, std::defer_lock);
     if (simulator()->isParallel()) {
         lock.lock();
     }
-    std::size_t erased = inFlight_.erase(id);
-    checkSim(erased == 1, "releasing unknown message id ", id);
+    std::uint32_t slot = message->registrySlot_;
+    checkSim(slot < inFlight_.size() && inFlight_[slot].get() == message,
+             "releasing unregistered message ", message->id());
+    inFlight_[slot].reset();
+    freeSlots_.push_back(slot);
 }
 
 void

@@ -17,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/component.h"
@@ -56,9 +55,13 @@ class Network : public Component {
     /** Takes ownership of a message until delivery. */
     void registerMessage(std::unique_ptr<Message> message);
     /** Destroys a delivered message. */
-    void releaseMessage(std::uint64_t id);
+    void releaseMessage(Message* message);
     /** Messages currently traversing the network. */
-    std::size_t messagesInFlight() const { return inFlight_.size(); }
+    std::size_t
+    messagesInFlight() const
+    {
+        return inFlight_.size() - freeSlots_.size();
+    }
 
     /** Workload hook: called once per flit ejected anywhere. */
     void setEjectMonitor(std::function<void(const Message*)> monitor);
@@ -149,9 +152,14 @@ class Network : public Component {
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<CreditChannel>> creditChannels_;
     std::vector<RouterLink> routerLinks_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Message>> inFlight_;
-    /** Guards inFlight_ in parallel mode: interfaces on different worker
-     *  partitions register/release messages concurrently. */
+    /** The in-flight registry as a slot table: each registered message
+     *  owns one slot (stored in the Message) until its release, and
+     *  released slots are reused through freeSlots_, so steady-state
+     *  registration allocates nothing. */
+    std::vector<std::unique_ptr<Message>> inFlight_;
+    std::vector<std::uint32_t> freeSlots_;
+    /** Guards the registry in parallel mode: interfaces on different
+     *  worker partitions register/release messages concurrently. */
     mutable std::mutex inFlightMutex_;
     std::function<void(const Message*)> ejectMonitor_;
 };

@@ -30,6 +30,7 @@
 #include "network/routing_algorithm.h"
 #include "power/activity.h"
 #include "types/flit.h"
+#include "types/ring_queue.h"
 
 namespace ss {
 
@@ -167,7 +168,7 @@ class Router : public Component,
 
         Router* router_;
         std::uint32_t size_;
-        std::vector<std::deque<Flit*>> queues_;  // [port*numVcs+vc]
+        std::vector<RingQueue<Flit*>> queues_;  // [port*numVcs+vc]
         std::vector<std::uint32_t> reserved_;    // in-transit slots
         std::vector<std::unique_ptr<Arbiter>> drainArbiters_;  // per port
         std::deque<InlineEvent<OutputQueueStage, std::uint32_t>> events_;

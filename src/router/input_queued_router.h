@@ -22,7 +22,6 @@
 #ifndef SS_ROUTER_INPUT_QUEUED_ROUTER_H_
 #define SS_ROUTER_INPUT_QUEUED_ROUTER_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_writer.h"
 #include "types/bitmask.h"
+#include "types/ring_queue.h"
 
 namespace ss {
 
@@ -86,7 +86,7 @@ class InputQueuedRouter : public Router {
                           Tick tick);
 
     struct InputVc {
-        std::deque<Flit*> buffer;
+        RingQueue<Flit*> buffer;
         bool routed = false;      ///< head packet's RC done
         bool allocated = false;   ///< holds an output VC
         std::uint32_t outPort = 0;

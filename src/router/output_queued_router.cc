@@ -72,7 +72,6 @@ OutputQueuedRouter::processInputs()
 {
     Tick tick = now().tick;
     bool pending = false;
-    std::vector<RoutingAlgorithm::Option> options;
 
     // All inputs transfer independently — no scheduling conflicts.
     for (std::uint32_t port = 0; port < numPorts_; ++port) {
@@ -85,23 +84,23 @@ OutputQueuedRouter::processInputs()
             if (!state.routed) {
                 checkSim(flit->isHead(),
                          "body flit at head of unrouted input VC");
-                routeCheck(port, vc, flit->packet(), &options);
+                routeCheck(port, vc, flit->packet(), &options_);
                 // The packet commits to the option with the most visible
                 // free space among the returned set; adaptive algorithms
                 // already collapsed the port choice using the sensor.
                 std::uint32_t best = 0;
-                double best_status = sensor()->status(options[0].port,
-                                                      options[0].vc);
-                for (std::uint32_t i = 1; i < options.size(); ++i) {
+                double best_status = sensor()->status(options_[0].port,
+                                                      options_[0].vc);
+                for (std::uint32_t i = 1; i < options_.size(); ++i) {
                     double s =
-                        sensor()->status(options[i].port, options[i].vc);
+                        sensor()->status(options_[i].port, options_[i].vc);
                     if (s < best_status) {
                         best = i;
                         best_status = s;
                     }
                 }
-                state.outPort = options[best].port;
-                state.outVc = options[best].vc;
+                state.outPort = options_[best].port;
+                state.outVc = options_[best].vc;
                 state.routed = true;
             }
             std::size_t oi = pv(state.outPort, state.outVc);

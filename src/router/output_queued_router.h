@@ -14,10 +14,10 @@
 #ifndef SS_ROUTER_OUTPUT_QUEUED_ROUTER_H_
 #define SS_ROUTER_OUTPUT_QUEUED_ROUTER_H_
 
-#include <deque>
 #include <vector>
 
 #include "network/router.h"
+#include "types/ring_queue.h"
 
 namespace ss {
 
@@ -55,7 +55,7 @@ class OutputQueuedRouter : public Router {
     void processInputs();
 
     struct InputVc {
-        std::deque<Flit*> buffer;
+        RingQueue<Flit*> buffer;
         bool routed = false;  ///< head packet committed to outPort/outVc
         std::uint32_t outPort = 0;
         std::uint32_t outVc = 0;
@@ -69,6 +69,8 @@ class OutputQueuedRouter : public Router {
     std::vector<bool> outputLocked_;              // [port*numVcs+vc]
     std::vector<std::uint32_t> outputHolder_;     // input index
     OutputQueueStage outputs_;
+    /** Route-computation scratch, reused across processInputs() calls. */
+    std::vector<RoutingAlgorithm::Option> options_;
     InlineEvent<OutputQueuedRouter> pipelineEvent_;
 };
 

@@ -64,6 +64,10 @@ class Message {
     bool tookNonminimal() const;
 
   private:
+    friend class Network;
+    /** Network::registerMessage's slot-table index while in flight. */
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
     std::uint64_t id_;
     std::uint32_t appId_;
     std::uint32_t source_;
@@ -76,6 +80,7 @@ class Message {
     Time createTime_ = Time::invalid();
     Time deliverTime_ = Time::invalid();
     std::uint32_t receivedPackets_ = 0;
+    std::uint32_t registrySlot_ = kNoSlot;
 };
 
 }  // namespace ss

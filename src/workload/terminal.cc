@@ -32,9 +32,7 @@ Terminal::sendMessage(std::uint32_t destination, std::uint32_t num_flits,
     // count) instead — deterministic for any thread count.
     std::uint64_t id =
         simulator()->isParallel()
-            ? (static_cast<std::uint64_t>(application_->id()) << 56) |
-                  (static_cast<std::uint64_t>(id_) << 32) |
-                  nextLocalMessageId_++
+            ? packMessageId(application_->id(), id_, nextLocalMessageId_++)
             : workload->nextMessageId();
     auto message = std::make_unique<Message>(
         id, application_->id(), id_, destination, num_flits,
@@ -44,6 +42,23 @@ Terminal::sendMessage(std::uint32_t destination, std::uint32_t num_flits,
     ++messagesSent_;
     interface_->injectMessage(std::move(message));
     return id;
+}
+
+std::uint64_t
+Terminal::packMessageId(std::uint32_t app, std::uint32_t terminal,
+                        std::uint64_t count)
+{
+    checkUser(app < (1u << 8), "partitioned runs support at most 256 ",
+              "applications (message ids pack the app into 8 bits), ",
+              "got app ", app);
+    checkUser(terminal < (1u << 24), "partitioned runs support at most ",
+              "2^24 terminals (message ids pack the terminal into 24 ",
+              "bits), got terminal ", terminal);
+    checkSim(count < (std::uint64_t{1} << 32), "terminal ", terminal,
+             " of app ", app, " ran out of message ids (2^32 per terminal ",
+             "in partitioned runs)");
+    return (static_cast<std::uint64_t>(app) << 56) |
+           (static_cast<std::uint64_t>(terminal) << 32) | count;
 }
 
 void

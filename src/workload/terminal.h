@@ -34,6 +34,15 @@ class Terminal : public Component, public MessageSink {
     // ----- MessageSink -----
     void messageDelivered(Message* message) override;
 
+    /** The message id a partitioned run gives the @p count-th message of
+     *  @p terminal in app @p app: app in the top 8 bits, terminal in the
+     *  next 24, count in the low 32. Fails (too many apps or terminals:
+     *  a user error; too many messages: a simulator limit) rather than
+     *  alias another message's id when a field does not fit. */
+    static std::uint64_t packMessageId(std::uint32_t app,
+                                       std::uint32_t terminal,
+                                       std::uint64_t count);
+
   protected:
     /** Creates and injects a message; returns its id. */
     std::uint64_t sendMessage(std::uint32_t destination,

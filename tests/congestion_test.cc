@@ -2,7 +2,10 @@
  *  visibility at the heart of the paper's §VI-A case study. */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "congestion/credit_sensor.h"
 #include "core/simulator.h"
@@ -76,6 +79,103 @@ TEST(CreditSensor, DelayedUpdatesInterleaveCorrectly)
     });
     sim.run();
     EXPECT_DOUBLE_EQ(raw->status(1, 1), 8.0);
+}
+
+TEST(CreditSensor, LatencyOneRingWrapsUnderUpdatesEveryTick)
+{
+    // Two ports change on every tick for 2,000 ticks, so pending batches
+    // recycle ring slots hundreds of times; what routing sees at a tick
+    // must be exactly the occupancy at the end of the previous tick.
+    constexpr Tick kTicks = 2000;
+    Simulator sim;
+    auto sensor = makeSensor(&sim, R"({"latency": 1})");
+    CreditSensor* raw = sensor.get();
+    std::vector<std::array<double, 2>> history(kTicks);
+    for (Tick t = 0; t < kTicks; ++t) {
+        sim.schedule(Time(t, eps::kDelivery), [raw, t, &history]() {
+            for (std::uint32_t port = 0; port < 2; ++port) {
+                double level = raw->actualStatus(port, 0);
+                bool up = ((t * (port + 3)) % 7 < 4 && level < 8) ||
+                          level == 0;
+                raw->creditEvent(port, 0, CreditPool::kDownstream,
+                                 up ? +1 : -1);
+                history[t][port] = raw->actualStatus(port, 0);
+            }
+        });
+        if (t > 0) {
+            sim.schedule(Time(t, eps::kPipeline), [raw, t, &history]() {
+                EXPECT_DOUBLE_EQ(raw->status(0, 0), history[t - 1][0])
+                    << "tick " << t;
+                EXPECT_DOUBLE_EQ(raw->status(1, 0), history[t - 1][1])
+                    << "tick " << t;
+            });
+        }
+    }
+    sim.run();
+    // One apply event per tick that had updates, nothing more.
+    EXPECT_EQ(sim.eventsExecuted(), kTicks + (kTicks - 1) + kTicks);
+    EXPECT_DOUBLE_EQ(raw->status(0, 0), history[kTicks - 1][0]);
+    EXPECT_DOUBLE_EQ(raw->status(1, 0), history[kTicks - 1][1]);
+    EXPECT_LE(raw->pendingSlots(), 4u);
+}
+
+TEST(CreditSensor, MillionTickLatencyIsExactAndBounded)
+{
+    constexpr Tick kLatency = 1'000'000;
+    Simulator sim;
+    auto sensor = makeSensor(&sim, R"({"latency": 1000000})");
+    CreditSensor* raw = sensor.get();
+    const std::vector<std::pair<Tick, std::int32_t>> updates = {
+        {10, +2}, {10, +1}, {20, +4}, {400'000, -3}, {1'500'000, +1}};
+    for (const auto& [tick, delta] : updates) {
+        sim.schedule(Time(tick), [raw, delta = delta]() {
+            raw->creditEvent(0, 0, CreditPool::kDownstream, delta);
+        });
+    }
+    // Visible value just before and at each apply tick.
+    const std::vector<std::pair<Tick, double>> expected = {
+        {kLatency + 9, 0.0},        {kLatency + 10, 3.0},
+        {kLatency + 19, 3.0},       {kLatency + 20, 7.0},
+        {kLatency + 399'999, 7.0},  {kLatency + 400'000, 4.0},
+        {kLatency + 1'499'999, 4.0}, {kLatency + 1'500'000, 5.0}};
+    for (const auto& [tick, value] : expected) {
+        sim.schedule(Time(tick, eps::kPipeline),
+                     [raw, tick = tick, value = value]() {
+                         EXPECT_DOUBLE_EQ(raw->status(0, 0), value)
+                             << "tick " << tick;
+                     });
+    }
+    sim.run();
+    EXPECT_DOUBLE_EQ(raw->status(0, 0), 5.0);
+    // Four apply ticks: memory follows the batches, not the latency.
+    EXPECT_LE(raw->pendingSlots(), 4u);
+}
+
+TEST(CreditSensor, UpdateAfterApplyOnApplyTickWaitsFullLatency)
+{
+    // An update at an epsilon after eps::kSensor on a tick whose batch
+    // has just applied opens a new batch, visible exactly one latency
+    // later and not before.
+    static_assert(eps::kPipeline > eps::kSensor);
+    Simulator sim;
+    auto sensor = makeSensor(&sim, R"({"latency": 5})");
+    CreditSensor* raw = sensor.get();
+    sim.schedule(Time(10), [raw]() {
+        raw->creditEvent(0, 0, CreditPool::kDownstream, +1);
+    });
+    sim.schedule(Time(15, eps::kPipeline), [raw]() {
+        EXPECT_DOUBLE_EQ(raw->status(0, 0), 1.0);
+        raw->creditEvent(0, 0, CreditPool::kDownstream, +2);
+        EXPECT_DOUBLE_EQ(raw->status(0, 0), 1.0);
+    });
+    sim.schedule(Time(19, eps::kStats),
+                 [raw]() { EXPECT_DOUBLE_EQ(raw->status(0, 0), 1.0); });
+    sim.schedule(Time(20, eps::kDelivery),
+                 [raw]() { EXPECT_DOUBLE_EQ(raw->status(0, 0), 1.0); });
+    sim.schedule(Time(20, eps::kPipeline),
+                 [raw]() { EXPECT_DOUBLE_EQ(raw->status(0, 0), 3.0); });
+    sim.run();
+    EXPECT_DOUBLE_EQ(raw->status(0, 0), 3.0);
 }
 
 TEST(CreditSensor, PoolSelectionOutput)

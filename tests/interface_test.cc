@@ -2,8 +2,12 @@
  *  credit policing, multi-application sinks. */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "json/settings.h"
 #include "network/interface.h"
+#include "network/network.h"
 #include "sim/builder.h"
 #include "test_util.h"
 
@@ -131,6 +135,55 @@ TEST(Workload, DuplicateSinkRegistrationIsFatal)
     EXPECT_THROW(
         simulation.network()->interface(0)->setMessageSink(0, &sink),
         FatalError);
+}
+
+TEST(MessageRegistryDeathTest, DiesOnDoubleRegistrationAndUnknownRelease)
+{
+    json::Value config = test::makeConfig(kRing, R"({
+        "applications": [{
+            "type": "trace", "messages": []}]})");
+    Simulation simulation(config);
+    Network* network = simulation.network();
+    auto owned = std::make_unique<Message>(7, 0, 0, 1, 1, 8);
+    Message* message = owned.get();
+    network->registerMessage(std::move(owned));
+    EXPECT_EQ(network->messagesInFlight(), 1u);
+    EXPECT_DEATH(network->registerMessage(std::unique_ptr<Message>(message)),
+                 "registered twice");
+
+    Message stranger(8, 0, 0, 1, 1, 8);
+    EXPECT_DEATH(network->releaseMessage(&stranger),
+                 "releasing unregistered message 8");
+
+    network->releaseMessage(message);
+    EXPECT_EQ(network->messagesInFlight(), 0u);
+}
+
+TEST(MessageRegistry, ReusesReleasedSlots)
+{
+    json::Value config = test::makeConfig(kRing, R"({
+        "applications": [{
+            "type": "trace", "messages": []}]})");
+    Simulation simulation(config);
+    Network* network = simulation.network();
+    std::vector<Message*> live;
+    for (std::uint64_t id = 0; id < 4; ++id) {
+        auto owned = std::make_unique<Message>(id, 0, 0, 1, 1, 8);
+        live.push_back(owned.get());
+        network->registerMessage(std::move(owned));
+    }
+    network->releaseMessage(live[1]);
+    network->releaseMessage(live[2]);
+    EXPECT_EQ(network->messagesInFlight(), 2u);
+    for (std::uint64_t id = 4; id < 6; ++id) {
+        auto owned = std::make_unique<Message>(id, 0, 0, 1, 1, 8);
+        Message* raw = owned.get();
+        network->registerMessage(std::move(owned));
+        network->releaseMessage(raw);
+    }
+    network->releaseMessage(live[0]);
+    network->releaseMessage(live[3]);
+    EXPECT_EQ(network->messagesInFlight(), 0u);
 }
 
 }  // namespace

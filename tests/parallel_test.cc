@@ -190,6 +190,38 @@ TEST(ParallelExecuter, PartitionsWithoutThreadsIsRejected)
 
 // ----- partitioner plan unit tests -----
 
+// Notification wrappers a worker partition sends the control partition
+// go back to it at the barrier, so the wrapper pools reach a steady state
+// bounded by the queue depth: four times as many sampled messages must
+// not allocate proportionally more wrappers.
+TEST(ParallelExecuter, WrapperPoolsStayFlatAsSampleWindowGrows)
+{
+    for (std::uint64_t threads : {1u, 2u}) {
+        auto allocated = [threads](unsigned samples) {
+            json::Value config = test::makeConfig(
+                kTorusNet, test::blastWorkload(0.3, 2, samples));
+            json::applyOverrides(
+                &config, {strf("simulator.threads=uint=", threads),
+                          "simulator.partitions=uint=4"});
+            Simulation simulation(config);
+            simulation.run();
+            const Simulator& sim = *simulation.simulator();
+            EXPECT_EQ(sim.numWorkerPartitions(), 4u);
+            const std::size_t wrappers = sim.pooledEventsAllocated() +
+                                         sim.callbackEventsAllocated();
+            EXPECT_LE(wrappers, sim.peakQueueDepth())
+                << samples << " samples, threads " << threads;
+            return wrappers;
+        };
+        const std::size_t window = allocated(50);
+        const std::size_t window4 = allocated(200);
+        EXPECT_LT(static_cast<double>(window4),
+                  1.1 * static_cast<double>(window))
+            << "threads " << threads << ": " << window << " -> "
+            << window4 << " wrappers";
+    }
+}
+
 TEST(Partitioner, TorusSlabsAreContiguousAndBalanced)
 {
     json::Value settings = json::parse(

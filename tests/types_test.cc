@@ -1,8 +1,11 @@
 /** @file Flit/Packet/Message structure tests. */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/logging.h"
 #include "types/message.h"
+#include "types/ring_queue.h"
 
 namespace ss {
 namespace {
@@ -102,6 +105,53 @@ TEST(Types, InvalidConstructionIsFatal)
 {
     EXPECT_THROW(Message(1, 0, 0, 1, 0, 8), FatalError);
     EXPECT_THROW(Message(1, 0, 0, 1, 4, 0), FatalError);
+}
+
+TEST(Types, RingQueueKeepsOrderWhenGrowingWrapped)
+{
+    // Wrap the ring, then grow it with the head mid-ring: the order must
+    // survive the unroll, and capacity follows the longest length only.
+    RingQueue<int> q;
+    int next = 0;
+    int expect = 0;
+    for (int round = 0; round < 50; ++round) {
+        for (int k = 0; k < 3; ++k) {
+            q.push_back(next++);
+        }
+        while (q.size() > 1) {
+            EXPECT_EQ(q.front(), expect++);
+            q.pop_front();
+        }
+    }
+    EXPECT_EQ(q.capacity(), 4u);
+    for (int k = 0; k < 9; ++k) {
+        q.push_back(next++);
+    }
+    EXPECT_EQ(q.size(), 10u);
+    EXPECT_EQ(q.back(), next - 1);
+    EXPECT_EQ(q.capacity(), 16u);
+    while (!q.empty()) {
+        EXPECT_EQ(q.front(), expect++);
+        q.pop_front();
+    }
+    EXPECT_EQ(expect, next);
+}
+
+TEST(Types, RingQueueRecyclesSlotContents)
+{
+    // pushSlot() hands back a popped slot as it was left, so a slot's
+    // vector keeps its capacity across reuse.
+    RingQueue<std::vector<int>> q;
+    q.pushSlot().assign(100, 7);
+    const int* storage = q.front().data();
+    for (int k = 0; k < 3; ++k) {
+        q.pop_front();
+        q.pushSlot();
+    }
+    q.pop_front();
+    std::vector<int>& reused = q.pushSlot();
+    EXPECT_EQ(reused.data(), storage);
+    EXPECT_EQ(reused.size(), 100u);
 }
 
 }  // namespace

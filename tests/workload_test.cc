@@ -6,6 +6,7 @@
 #include "stats/transaction_log.h"
 #include "test_util.h"
 #include "tools/log_parser.h"
+#include "workload/terminal.h"
 
 namespace ss {
 namespace {
@@ -196,6 +197,19 @@ TEST(Workload, SaturationSetsFlag)
         test::blastWorkload(0.9, 4, 300), 1, 60000);
     RunResult result = runSimulation(config);
     EXPECT_TRUE(result.saturated);
+}
+
+TEST(WorkloadDeathTest, PartitionedMessageIdsNeverAlias)
+{
+    EXPECT_EQ(Terminal::packMessageId(255, (1u << 24) - 1, 0xffffffffu),
+              ~std::uint64_t{0});
+    EXPECT_EQ(Terminal::packMessageId(1, 2, 3),
+              (std::uint64_t{1} << 56) | (std::uint64_t{2} << 32) | 3);
+    // Each field out of range would silently reuse another message's id.
+    EXPECT_THROW(Terminal::packMessageId(256, 0, 0), FatalError);
+    EXPECT_THROW(Terminal::packMessageId(0, 1u << 24, 0), FatalError);
+    EXPECT_DEATH(Terminal::packMessageId(0, 0, std::uint64_t{1} << 32),
+                 "ran out of message ids");
 }
 
 }  // namespace
