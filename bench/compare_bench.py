@@ -11,6 +11,12 @@ speed cancels out and slow CI runners agree with fast workstations. The
 gate fails only when a normalized rate drops more than --tolerance below
 the baseline; improvements never fail.
 
+It also prints each file's host context (`num_cpus`, and the
+google-benchmark `library_build_type`) and warns when they differ: the
+calibration cancels clock speed, not a different core count or a
+differently built benchmark library, so such a comparison is weaker.
+The warning never changes the verdict.
+
 To re-baseline after an intentional engine change, see README.md
 ("Performance regression gate").
 """
@@ -21,12 +27,17 @@ import statistics
 import sys
 
 CALIBRATION = "BM_CalibrationSpin"
+# google-benchmark context fields that say which host and build ran it.
+HOST_FIELDS = ("num_cpus", "library_build_type")
 
 
-def load_rates(path):
-    """Returns {benchmark name: median items_per_second} for a run."""
+def load_run(path):
+    """Returns ({host field: value}, {benchmark name: median
+    items_per_second}) for a run."""
     with open(path) as f:
         data = json.load(f)
+    context = data.get("context", {})
+    host = {field: context.get(field, "unknown") for field in HOST_FIELDS}
     samples = {}
     for bench in data["benchmarks"]:
         # Skip mean/median/stddev aggregate rows; collect raw repetitions.
@@ -36,7 +47,22 @@ def load_rates(path):
         if rate is None:
             continue
         samples.setdefault(bench["name"], []).append(rate)
-    return {name: statistics.median(rates) for name, rates in samples.items()}
+    return host, {name: statistics.median(rates)
+                  for name, rates in samples.items()}
+
+
+def report_hosts(base_host, curr_host):
+    """Prints both runs' host context; warns about fields that differ."""
+    for label, host in (("baseline", base_host), ("current", curr_host)):
+        print(f"{label} host: " +
+              ", ".join(f"{field} {host[field]}" for field in HOST_FIELDS))
+    differing = [f"{field} {base_host[field]} vs {curr_host[field]}"
+                 for field in HOST_FIELDS
+                 if base_host[field] != curr_host[field]]
+    if differing:
+        print("warning: baseline and current ran on different hosts or "
+              "builds (" + "; ".join(differing) + "); the calibration "
+              "does not cancel that, so read the gate with care")
 
 
 def main():
@@ -47,8 +73,9 @@ def main():
                         help="allowed fractional slowdown (default 0.25)")
     args = parser.parse_args()
 
-    base = load_rates(args.baseline)
-    curr = load_rates(args.current)
+    base_host, base = load_run(args.baseline)
+    curr_host, curr = load_run(args.current)
+    report_hosts(base_host, curr_host)
 
     for name, rates in ((args.baseline, base), (args.current, curr)):
         if CALIBRATION not in rates:

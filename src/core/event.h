@@ -9,13 +9,16 @@
  * Three flavors exist, from hottest to most flexible:
  *  - InlineEvent<T[, Payload]>: embedded in the owning component and
  *    rescheduled repeatedly — a member-function pointer, no allocation
- *    ever (routers' pipeline/output events, interface injection).
- *  - Simulator::scheduleInline<Handler>(): pool-managed events carrying a
- *    small trivially-copyable payload, for per-occurrence deliveries with
- *    several in flight at once (channel hops, crossbar transfers).
- *  - Simulator::schedule(time, fn): arbitrary one-shot closures; the
- *    wrapper events are pooled, but std::function may still allocate for
- *    large captures. Control-path convenience, not for hot loops.
+ *    ever (routers' pipeline/output events, interface injection). The
+ *    queue slot holds its pointer.
+ *  - Simulator::scheduleInline<Handler>(): no Event object at all — the
+ *    queue slot itself holds the object pointer and a small trivially
+ *    copyable payload, for per-occurrence deliveries with several in
+ *    flight at once (channel hops, crossbar transfers).
+ *  - Simulator::schedule(time, fn): one-shot closures. Trivially copyable
+ *    captures of up to 24 bytes also live in the queue slot; anything
+ *    else is wrapped in a CallbackEvent allocated per use. Control-path
+ *    convenience, not for hot loops.
  */
 #ifndef SS_CORE_EVENT_H_
 #define SS_CORE_EVENT_H_
@@ -62,8 +65,9 @@ class Event {
     bool schedBackground_ = false;
 };
 
-/** An event that invokes a bound callable. Used by Simulator::schedule()
- *  for one-shot lambdas; owned, pooled, and recycled by the simulator. */
+/** An event that invokes a bound callable. Simulator::schedule() wraps
+ *  closures that do not fit a queue slot in one, owns it and deletes it
+ *  after it runs; callers may also own and schedule one directly. */
 class CallbackEvent : public Event {
   public:
     CallbackEvent() = default;

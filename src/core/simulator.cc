@@ -25,10 +25,15 @@ Simulator::~Simulator()
     if (tlsCtx_.sim == this) {
         tlsCtx_ = ExecCtx{};
     }
-    // Drain unexecuted events, deleting the wrappers the simulator owns.
-    // Caller-owned events must not be touched here: components are
-    // destroyed before the simulator when a run stops at its time limit
-    // with work still queued, so those pointers may already be dead.
+    // Delete the callback wrappers of unexecuted events. Caller-owned
+    // events must not be touched here: components are destroyed before
+    // the simulator when a run stops at its time limit with work still
+    // queued, so those pointers may already be dead.
+    auto release = [](const QueueEntry& entry) {
+        if (entry.kind() == EntryKind::kCallback) {
+            delete entry.event();
+        }
+    };
     for (auto& queue : queues_) {
         PartitionQueue& q = *queue;
         for (Bucket& bucket : q.buckets) {
@@ -36,36 +41,18 @@ Simulator::~Simulator()
                 const std::vector<QueueEntry>& lane = bucket.lanes[e];
                 for (std::size_t i = bucket.heads[e]; i < lane.size();
                      ++i) {
-                    if (lane[i].kind() != EntryKind::kExternal) {
-                        delete lane[i].event;
-                    }
+                    release(lane[i]);
                 }
             }
         }
-        while (!q.overflow.empty()) {
-            const QueueEntry& entry = q.overflow.top();
-            if (entry.kind() != EntryKind::kExternal) {
-                delete entry.event;
-            }
-            q.overflow.pop();
+        for (; !q.overflow.empty(); q.overflow.pop()) {
+            release(q.overflow.top().entry);
         }
         for (const OutItem& item : q.outbox) {
-            if ((item.flags & kKindMask) !=
-                static_cast<std::uint8_t>(EntryKind::kExternal)) {
-                delete item.event;
-            }
+            release(item.entry);
         }
         for (const OutItem& item : q.controlOutbox) {
-            if ((item.flags & kKindMask) !=
-                static_cast<std::uint8_t>(EntryKind::kExternal)) {
-                delete item.event;
-            }
-        }
-        for (CallbackEvent* event : q.callbackPool) {
-            delete event;
-        }
-        for (PooledEvent* event : q.pooledPool) {
-            delete event;
+            release(item.entry);
         }
     }
 }
@@ -125,7 +112,7 @@ Simulator::setupPartitions(std::uint32_t count)
 void
 Simulator::checkSchedulable(std::uint32_t partition, Time time)
 {
-    // Checked before any event is taken from a pool, so the fatal path
+    // Checked before a callback wrapper is allocated, so the fatal path
     // leaks nothing.
     if (time.epsilon >= kNumLanes) [[unlikely]] {
         fatal("epsilon ", static_cast<unsigned>(time.epsilon),
@@ -173,20 +160,12 @@ Simulator::checkSchedulable(std::uint32_t partition, Time time)
              "stats-phase event scheduled same-tick partition work");
 }
 
-std::uint64_t
-Simulator::makeKey(PartitionQueue& q, Epsilon epsilon)
-{
-    return (static_cast<std::uint64_t>(epsilon) << kSeqBits) |
-           q.sequence++;
-}
-
 void
-Simulator::bucketInsert(PartitionQueue& q, const QueueEntry& entry)
+Simulator::bucketInsert(PartitionQueue& q, Tick tick, const QueueEntry& entry)
 {
-    std::size_t b = entry.tick & q.bucketMask;
+    std::size_t b = tick & q.bucketMask;
     Bucket& bucket = q.buckets[b];
-    std::size_t lane_index =
-        static_cast<std::size_t>(entry.key >> kSeqBits);
+    std::size_t lane_index = entry.lane();
     std::vector<QueueEntry>& lane = bucket.lanes[lane_index];
     if (!lane.empty() && lane.back().key > entry.key) [[unlikely]] {
         // Only overflow migration appends behind newer sequences (a
@@ -210,14 +189,14 @@ Simulator::bucketInsert(PartitionQueue& q, const QueueEntry& entry)
 }
 
 void
-Simulator::pushEntry(PartitionQueue& q, const QueueEntry& entry)
+Simulator::pushEntry(PartitionQueue& q, Tick tick, const QueueEntry& entry)
 {
-    // The window invariant (windowBase <= now <= entry.tick) makes the
+    // The window invariant (windowBase <= now <= tick) makes the
     // subtraction safe and gives each bucket at most one distinct tick.
-    if (entry.tick - q.windowBase < q.numBuckets) [[likely]] {
-        bucketInsert(q, entry);
+    if (tick - q.windowBase < q.numBuckets) [[likely]] {
+        bucketInsert(q, tick, entry);
     } else {
-        q.overflow.push(entry);
+        q.overflow.push(OverflowEntry{tick, entry});
     }
     ++q.liveCount;
     q.foregroundPending +=
@@ -280,7 +259,7 @@ Simulator::materialize(PartitionQueue& q)
         q.windowBase = q.overflow.top().tick;
         while (!q.overflow.empty() &&
                q.overflow.top().tick - q.windowBase < q.numBuckets) {
-            bucketInsert(q, q.overflow.top());
+            bucketInsert(q, q.overflow.top().tick, q.overflow.top().entry);
             q.overflow.pop();
         }
         bucket_tick = nextBucketTick(q);
@@ -309,99 +288,47 @@ Simulator::tickBucket(PartitionQueue& q, Tick tick)
     return &q.buckets[slot];
 }
 
-CallbackEvent*
-Simulator::acquireCallback()
+void
+Simulator::enqueueDirect(PartitionQueue& q, std::uint32_t index, Tick tick,
+                         QueueEntry& entry)
 {
-    PartitionQueue& q = schedCtxQueue();
-    if (q.callbackPool.empty()) {
-        ++q.callbackAllocated;
-        return new CallbackEvent;
+    entry.key |= q.sequence++ << kSeqShift;
+    if (entry.kind() == EntryKind::kExternal) {
+        Event* event = entry.event();
+        event->schedKey_ = entry.key;
+        event->schedQueue_ = index;
     }
-    CallbackEvent* event = q.callbackPool.back();
-    q.callbackPool.pop_back();
-    return event;
-}
-
-PooledEvent*
-Simulator::acquirePooled()
-{
-    PartitionQueue& q = schedCtxQueue();
-    if (q.pooledPool.empty()) {
-        ++q.pooledAllocated;
-        return new PooledEvent;
-    }
-    PooledEvent* event = q.pooledPool.back();
-    q.pooledPool.pop_back();
-    return event;
+    pushEntry(q, tick, entry);
 }
 
 void
-Simulator::recycle(PartitionQueue& q, const QueueEntry& entry)
+Simulator::routeEntry(std::uint32_t target, Time time, EntryKind kind,
+                      bool background, QueueEntry& entry)
 {
-    if (entry.kind() == EntryKind::kCallback) {
-        auto* callback = static_cast<CallbackEvent*>(entry.event);
-        callback->fn_ = nullptr;  // drop captures promptly
-        q.callbackPool.push_back(callback);
-    } else if (entry.kind() == EntryKind::kPooled) {
-        q.pooledPool.push_back(static_cast<PooledEvent*>(entry.event));
-    }
-}
-
-void
-Simulator::enqueueDirect(PartitionQueue& q, std::uint32_t index,
-                         Event* event, Time time, EntryKind kind,
-                         bool background)
-{
-    event->time_ = time;
-    std::uint64_t key = makeKey(q, time.epsilon);
-    event->schedKey_ = key;
-    event->schedBackground_ = background;
-    event->schedQueue_ = index;
-    std::uint8_t flags = static_cast<std::uint8_t>(kind);
-    if (background) {
-        flags |= kBackgroundFlag;
-    }
-    pushEntry(q, QueueEntry{time.tick, key, event, flags});
-}
-
-void
-Simulator::routeEntry(std::uint32_t target, Event* event, Time time,
-                      EntryKind kind, bool background)
-{
+    entry.key = static_cast<std::uint64_t>(time.epsilon) << kEpsilonShift |
+                (background ? kBackgroundFlag : 0) |
+                static_cast<std::uint64_t>(kind);
     const ExecCtx& ctx = tlsCtx_;
     if (ctx.sim == this && ctx.index == target) [[likely]] {
-        enqueueDirect(*ctx.queue, target, event, time, kind, background);
+        enqueueDirect(*ctx.queue, target, time.tick, entry);
         return;
     }
     if (ctx.sim == this && ctx.index != controlIndex_) {
-        // Worker context scheduling off-partition: park the event in the
+        // Worker context scheduling off-partition: park the entry in the
         // source partition's mailbox; the barrier commits mailboxes in
         // partition order, assigning destination sequences
         // deterministically.
-        std::uint8_t flags = static_cast<std::uint8_t>(kind);
-        if (background) {
-            flags |= kBackgroundFlag;
+        if (kind == EntryKind::kExternal) {
+            entry.event()->schedQueue_ = kOutboxed;
         }
-        event->time_ = time;
-        event->schedQueue_ = kOutboxed;
-        if (target == controlIndex_) {
-            ctx.queue->controlOutbox.push_back(
-                OutItem{event, time, target, flags});
-        } else {
-            ctx.queue->outbox.push_back(
-                OutItem{event, time, target, flags});
-        }
+        std::vector<OutItem>& box = target == controlIndex_
+                                        ? ctx.queue->controlOutbox
+                                        : ctx.queue->outbox;
+        box.push_back(OutItem{time.tick, target, entry});
         return;
     }
     // Serial phase: workers are parked, enqueue straight into the target.
-    enqueueDirect(*queues_[target], target, event, time, kind, background);
-}
-
-void
-Simulator::enqueueOwned(std::uint32_t partition, Event* event, Time time,
-                        EntryKind kind)
-{
-    routeEntry(resolveTarget(partition), event, time, kind, false);
+    enqueueDirect(*queues_[target], target, time.tick, entry);
 }
 
 void
@@ -416,8 +343,17 @@ Simulator::scheduleFor(std::uint32_t partition, Event* event, Time time,
                  event->time().toString());
     }
     checkSchedulable(partition, time);
-    routeEntry(resolveTarget(partition), event, time,
-               EntryKind::kExternal, background);
+    event->time_ = time;
+    event->schedBackground_ = background;
+    QueueEntry entry;
+    entry.fn = [](void* storage) {
+        Event* event;
+        std::memcpy(&event, storage, sizeof(event));
+        event->process();
+    };
+    std::memcpy(entry.storage, &event, sizeof(event));
+    routeEntry(resolveTarget(partition), time, EntryKind::kExternal,
+               background, entry);
 }
 
 void
@@ -425,9 +361,20 @@ Simulator::scheduleCallback(std::uint32_t partition, Time time,
                             std::function<void()> fn)
 {
     checkSchedulable(partition, time);
-    CallbackEvent* event = acquireCallback();
-    event->fn_ = std::move(fn);
-    enqueueOwned(partition, event, time, EntryKind::kCallback);
+    Event* event = new CallbackEvent(std::move(fn));
+    PartitionQueue& q = tlsCtx_.sim == this ? *tlsCtx_.queue
+                                            : *queues_[controlIndex_];
+    ++q.callbackAllocated;
+    QueueEntry entry;
+    entry.fn = [](void* storage) {
+        Event* event;
+        std::memcpy(&event, storage, sizeof(event));
+        std::unique_ptr<Event> owner(event);
+        event->process();
+    };
+    std::memcpy(entry.storage, &event, sizeof(event));
+    routeEntry(resolveTarget(partition), time, EntryKind::kCallback, false,
+               entry);
 }
 
 bool
@@ -465,20 +412,20 @@ Simulator::releaseBucket(PartitionQueue& q, Bucket& bucket, Tick tick)
 }
 
 [[gnu::always_inline]] inline bool
-Simulator::execute(PartitionQueue& q, const QueueEntry& entry)
+Simulator::execute(PartitionQueue& q, QueueEntry& entry, Tick tick)
 {
-    Event* event = entry.event;
-    if (entry.kind() == EntryKind::kExternal &&
-        (event->schedKey_ != entry.key || !event->time_.valid()))
-        [[unlikely]] {
-        return false;  // cancelled tombstone — already discounted
+    if (entry.kind() == EntryKind::kExternal) {
+        Event* event = entry.event();
+        if (event->schedKey_ != entry.key || !event->time_.valid())
+            [[unlikely]] {
+            return false;  // cancelled tombstone — already discounted
+        }
+        event->time_ = Time::invalid();
     }
     --q.liveCount;
     q.foregroundPending -= static_cast<std::uint64_t>(!entry.background());
-    q.now = entry.time();
-    event->time_ = Time::invalid();
-    event->process();
-    recycle(q, entry);
+    q.now = Time(tick, static_cast<Epsilon>(entry.lane()));
+    entry.fn(entry.storage);
     ++q.eventsExecuted;
     return true;
 }
@@ -511,9 +458,9 @@ Simulator::drainTick(PartitionQueue& q, Tick tick, std::size_t max_lane)
         --bucket->live;
         --q.bucketedCount;
         if (bucket->live == 0) {
-            releaseBucket(q, *bucket, entry.tick);
+            releaseBucket(q, *bucket, tick);
         }
-        executed += execute(q, entry);
+        executed += execute(q, entry, tick);
     } while (bucket->live > 0 && (q.foregroundPending > 0 || !stop_when_idle));
     return executed;
 }
@@ -583,10 +530,6 @@ Simulator::run()
             inFinalSweep_ = true;
             drainTick(control, tick);
             inFinalSweep_ = false;
-            // The notifications have run: give their wrappers back to
-            // the partitions that lent them, or every worker pool would
-            // keep allocating what control's pools hoard.
-            returnLentWrappers();
             // Commit cross-partition channel deliveries (strictly future
             // ticks) in partition order — the deterministic merge.
             commitOutboxes();
@@ -654,40 +597,14 @@ Simulator::commitControlOutboxes()
     PartitionQueue& control = *queues_[controlIndex_];
     std::uint64_t moved = 0;
     for (std::uint32_t src = 0; src < numPartitions_; ++src) {
-        PartitionQueue& q = *queues_[src];
-        for (const OutItem& item : q.controlOutbox) {
-            item.event->time_ = Time::invalid();
-            const auto kind = static_cast<EntryKind>(item.flags & kKindMask);
-            q.lentPooled += kind == EntryKind::kPooled;
-            q.lentCallback += kind == EntryKind::kCallback;
-            enqueueDirect(control, controlIndex_, item.event, item.time,
-                          kind, (item.flags & kBackgroundFlag) != 0);
-            ++moved;
+        std::vector<OutItem>& box = queues_[src]->controlOutbox;
+        for (OutItem& item : box) {
+            enqueueDirect(control, controlIndex_, item.tick, item.entry);
         }
-        q.controlOutbox.clear();
+        moved += box.size();
+        box.clear();
     }
     return moved;
-}
-
-void
-Simulator::returnLentWrappers()
-{
-    // Any wrapper serves: a recycled wrapper holds no state. Wrappers
-    // whose events are still queued on control stay owed until a later
-    // barrier finds them recycled.
-    auto hand_back = [](auto& from, auto& to, std::size_t& owed) {
-        const std::size_t n = std::min(owed, from.size());
-        to.insert(to.end(), from.end() - static_cast<std::ptrdiff_t>(n),
-                  from.end());
-        from.resize(from.size() - n);
-        owed -= n;
-    };
-    PartitionQueue& control = *queues_[controlIndex_];
-    for (std::uint32_t p = 0; p < numPartitions_; ++p) {
-        PartitionQueue& q = *queues_[p];
-        hand_back(control.pooledPool, q.pooledPool, q.lentPooled);
-        hand_back(control.callbackPool, q.callbackPool, q.lentCallback);
-    }
 }
 
 void
@@ -695,12 +612,9 @@ Simulator::commitOutboxes()
 {
     for (std::uint32_t src = 0; src < numPartitions_; ++src) {
         std::vector<OutItem>& box = queues_[src]->outbox;
-        for (const OutItem& item : box) {
-            item.event->time_ = Time::invalid();
-            enqueueDirect(*queues_[item.target], item.target, item.event,
-                          item.time,
-                          static_cast<EntryKind>(item.flags & kKindMask),
-                          (item.flags & kBackgroundFlag) != 0);
+        for (OutItem& item : box) {
+            enqueueDirect(*queues_[item.target], item.target, item.tick,
+                          item.entry);
         }
         box.clear();
     }
@@ -800,16 +714,6 @@ Simulator::eventsPending() const
     std::size_t total = 0;
     for (const auto& q : queues_) {
         total += q->liveCount + q->outbox.size() + q->controlOutbox.size();
-    }
-    return total;
-}
-
-std::size_t
-Simulator::pooledEventsAllocated() const
-{
-    std::size_t total = 0;
-    for (const auto& q : queues_) {
-        total += q->pooledAllocated;
     }
     return total;
 }

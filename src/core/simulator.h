@@ -14,8 +14,11 @@
  * binary heap holds far-future overflow. Each bucket keeps one FIFO lane
  * per epsilon: within a (tick, epsilon) lane insertion order *is*
  * sequence order, so both insert and pop are O(1) with no comparisons.
- * Event wrappers for closures/payload deliveries are recycled through
- * free lists, so steady-state scheduling performs no heap allocation.
+ * A queue slot is the event itself: a 40-byte entry of ordering key,
+ * trampoline and 24 bytes of storage holding a payload delivery, a small
+ * closure's captures, or the pointer of a caller-owned event. So
+ * steady-state scheduling performs no heap allocation, and a delivery or
+ * closure runs with one indirect call.
  *
  * One run loop drains every simulation (DESIGN.md §7). A serial run has
  * a single control queue and no worker partitions. Partitioned parallel
@@ -43,6 +46,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -79,27 +83,37 @@ struct MemberFnTraits<void (C::*)(P)> {
     using Class = C;
     using Param = P;
 };
-}  // namespace detail
 
-/** Pool-managed event that invokes a member function with a small
- *  trivially-copyable payload through a stateless trampoline. Users never
- *  name this type: Simulator::scheduleInline() acquires instances from a
- *  free list, so per-occurrence deliveries (channel hops, crossbar
- *  transfers) schedule without touching the heap. */
-class PooledEvent final : public Event {
-  public:
-    static constexpr std::size_t kPayloadSize = 24;
-
-    void process() override { trampoline_(object_, payload_); }
-
-  private:
-    friend class Simulator;
-    using Trampoline = void (*)(void* object, void* payload);
-
-    Trampoline trampoline_ = nullptr;
-    void* object_ = nullptr;
-    alignas(alignof(std::max_align_t)) unsigned char payload_[kPayloadSize];
+/** scheduleInline()'s slot storage: the object and its payload. */
+template <typename C, typename P>
+struct InlineSlot {
+    C* object;
+    P payload;
 };
+
+// Queue-slot trampolines. Free functions, not lambdas inside Simulator,
+// so a profile charges each to the handler or closure it inlines.
+
+/** Runs the `(object->*Handler)(payload)` held in a queue slot. */
+template <auto Handler>
+void
+invokeSlotHandler(void* storage)
+{
+    using Traits = MemberFnTraits<decltype(Handler)>;
+    auto* slot = static_cast<
+        InlineSlot<typename Traits::Class, typename Traits::Param>*>(
+        storage);
+    (slot->object->*Handler)(slot->payload);
+}
+
+/** Runs the closure whose captures a queue slot holds. */
+template <typename Fn>
+void
+invokeSlotClosure(void* storage)
+{
+    (*static_cast<Fn*>(storage))();
+}
+}  // namespace detail
 
 /** The DES engine: per-partition two-level event queues + executer. */
 class Simulator {
@@ -187,10 +201,10 @@ class Simulator {
     void scheduleFor(std::uint32_t partition, Event* event, Time time,
                      bool background = false);
 
-    /** Schedules a one-shot callable at @p time. The simulator owns the
-     *  wrapper event (recycled through a free list). Small
-     *  trivially-copyable callables are stored inline in a pooled event;
-     *  anything else falls back to a pooled std::function wrapper. */
+    /** Schedules a one-shot callable at @p time. A trivially copyable
+     *  callable of at most kEntryStorage bytes is stored in the queue
+     *  slot itself: no allocation. Anything else falls back to a
+     *  heap-allocated std::function wrapper, deleted after it runs. */
     template <typename F>
     std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>>
     schedule(Time time, F&& fn)
@@ -205,27 +219,26 @@ class Simulator {
         using Fn = std::decay_t<F>;
         if constexpr (std::is_trivially_copyable_v<Fn> &&
                       std::is_trivially_destructible_v<Fn> &&
-                      sizeof(Fn) <= PooledEvent::kPayloadSize &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
+                      sizeof(Fn) <= kEntryStorage &&
+                      alignof(Fn) <= alignof(std::uint64_t)) {
             checkSchedulable(partition, time);
-            PooledEvent* event = acquirePooled();
-            event->object_ = nullptr;
-            event->trampoline_ = [](void*, void* p) {
-                (*static_cast<Fn*>(p))();
-            };
-            ::new (static_cast<void*>(event->payload_))
+            QueueEntry entry;
+            entry.fn = &detail::invokeSlotClosure<Fn>;
+            ::new (static_cast<void*>(entry.storage))
                 Fn(std::forward<F>(fn));
-            enqueueOwned(partition, event, time, EntryKind::kPooled);
+            routeEntry(resolveTarget(partition), time, EntryKind::kInline,
+                       false, entry);
         } else {
             scheduleCallback(partition, time,
                              std::function<void()>(std::forward<F>(fn)));
         }
     }
 
-    /** Schedules a pooled event that calls `(object->*Handler)(payload)`
-     *  at @p time — the allocation-free fast path for per-occurrence
-     *  deliveries. The payload must be trivially copyable and at most
-     *  PooledEvent::kPayloadSize bytes. */
+    /** Schedules `(object->*Handler)(payload)` at @p time — the
+     *  allocation-free fast path for per-occurrence deliveries: object
+     *  and payload ride in the queue slot itself. The payload must be
+     *  trivially copyable and fit kEntryStorage beside the object
+     *  pointer (16 bytes). */
     template <auto Handler>
     void
     scheduleInline(
@@ -245,20 +258,19 @@ class Simulator {
         Time time)
     {
         using Traits = detail::MemberFnTraits<decltype(Handler)>;
-        using C = typename Traits::Class;
-        using P = typename Traits::Param;
-        static_assert(std::is_trivially_copyable_v<P>,
+        using Slot = detail::InlineSlot<typename Traits::Class,
+                                        typename Traits::Param>;
+        static_assert(std::is_trivially_copyable_v<typename Traits::Param>,
                       "inline event payloads must be trivially copyable");
-        static_assert(sizeof(P) <= PooledEvent::kPayloadSize,
+        static_assert(sizeof(Slot) <= kEntryStorage &&
+                          alignof(Slot) <= alignof(std::uint64_t),
                       "inline event payload too large");
         checkSchedulable(partition, time);
-        PooledEvent* event = acquirePooled();
-        event->object_ = object;
-        event->trampoline_ = [](void* o, void* p) {
-            (static_cast<C*>(o)->*Handler)(*reinterpret_cast<P*>(p));
-        };
-        ::new (static_cast<void*>(event->payload_)) P(payload);
-        enqueueOwned(partition, event, time, EntryKind::kPooled);
+        QueueEntry entry;
+        entry.fn = &detail::invokeSlotHandler<Handler>;
+        ::new (static_cast<void*>(entry.storage)) Slot{object, payload};
+        routeEntry(resolveTarget(partition), time, EntryKind::kInline, false,
+                   entry);
     }
 
     /** Removes a pending caller-owned event from the queue before it
@@ -295,9 +307,12 @@ class Simulator {
      *  tombstones). */
     std::size_t eventsPending() const;
 
-    /** Wrapper events ever heap-allocated by the pools — flat in steady
-     *  state, since executed wrappers recycle through free lists. */
-    std::size_t pooledEventsAllocated() const;
+    /** Always 0: closures and payload deliveries live in the queue
+     *  slots, so the engine has no wrapper events to allocate. Kept for
+     *  tools that report it. */
+    std::size_t pooledEventsAllocated() const { return 0; }
+    /** CallbackEvent wrappers allocated so far, one per closure too big
+     *  or not trivially copyable enough for a queue slot. */
     std::size_t callbackEventsAllocated() const;
 
     /** Root seed for this simulation. */
@@ -362,49 +377,70 @@ class Simulator {
     std::size_t peakQueueDepth() const;
 
   private:
-    /** Who owns/recycles the event behind a queue slot. */
+    /** What the storage of a queue slot holds. */
     enum class EntryKind : std::uint8_t {
-        kExternal = 0,  ///< caller-owned; supports cancel()
-        kCallback = 1,  ///< pooled CallbackEvent (closure)
-        kPooled = 2,    ///< pooled PooledEvent (inline payload)
+        kExternal = 0,  ///< Event* of a caller-owned event; supports cancel()
+        kCallback = 1,  ///< Event* of a CallbackEvent, deleted after it runs
+        kInline = 2,    ///< a closure's captures or an {object, payload}
     };
 
-    static constexpr std::uint8_t kKindMask = 0x3;
-    static constexpr std::uint8_t kBackgroundFlag = 0x4;
-    /** Bits of `key` below the epsilon field — the insertion sequence. */
-    static constexpr unsigned kSeqBits = 56;
+    /** Key layout: epsilon << 56 | sequence << 3 | background << 2 |
+     *  kind. Keys compare in (epsilon, sequence) order because sequences
+     *  are unique per queue; the low bits never decide a comparison. */
+    static constexpr unsigned kEpsilonShift = 56;
+    static constexpr unsigned kSeqShift = 3;
+    static constexpr std::uint64_t kKindMask = 0x3;
+    static constexpr std::uint64_t kBackgroundFlag = 0x4;
     static constexpr std::size_t kDefaultHorizon = 64;
     /** FIFO lanes per bucket, one per epsilon. Epsilon is a small
      *  scheduling class (eps::kDelivery .. eps::kStats plus headroom),
      *  so the engine supports epsilon values 0..kNumLanes-1. */
     static constexpr std::size_t kNumLanes = 8;
+    /** Bytes of a queue slot that hold the event itself. */
+    static constexpr std::size_t kEntryStorage = 24;
 
-    /** One queue slot. Ordering is (tick, key) where key packs
-     *  (epsilon << 56 | sequence) — exactly the deterministic
-     *  (tick, epsilon, insertion order) total order in two compares. */
+    using Trampoline = void (*)(void* storage);
+
+    /** One queue slot, which is also the event: `fn(storage)` runs it.
+     *  The tick is implied by the bucket holding the slot (the overflow
+     *  heap and the mailboxes store it beside the slot), so ordering
+     *  within a tick is `key` alone — the deterministic
+     *  (tick, epsilon, insertion order) total order. */
     struct QueueEntry {
-        Tick tick;
         std::uint64_t key;
-        Event* event;
-        std::uint8_t flags;
+        Trampoline fn;
+        alignas(std::uint64_t) unsigned char storage[kEntryStorage];
 
         EntryKind kind() const
         {
-            return static_cast<EntryKind>(flags & kKindMask);
+            return static_cast<EntryKind>(key & kKindMask);
         }
-        bool background() const { return (flags & kBackgroundFlag) != 0; }
-        Time
-        time() const
+        bool background() const { return (key & kBackgroundFlag) != 0; }
+        std::size_t lane() const { return key >> kEpsilonShift; }
+        /** The event behind a kExternal or kCallback slot. */
+        Event*
+        event() const
         {
-            return Time(tick, static_cast<Epsilon>(key >> kSeqBits));
+            Event* event;
+            std::memcpy(&event, storage, sizeof(event));
+            return event;
         }
     };
+    static_assert(sizeof(QueueEntry) == 40,
+                  "a queue slot is a key, a trampoline and 24 bytes");
 
-    struct EntryGreater {
+    /** A far-future slot in the overflow heap, with its tick. */
+    struct OverflowEntry {
+        Tick tick;
+        QueueEntry entry;
+    };
+
+    struct OverflowGreater {
         bool
-        operator()(const QueueEntry& a, const QueueEntry& b) const
+        operator()(const OverflowEntry& a, const OverflowEntry& b) const
         {
-            return a.tick != b.tick ? a.tick > b.tick : a.key > b.key;
+            return a.tick != b.tick ? a.tick > b.tick
+                                    : a.entry.key > b.entry.key;
         }
     };
 
@@ -423,17 +459,17 @@ class Simulator {
 
     /** A cross-partition schedule parked in a mailbox until the tick
      *  boundary (channel edges) or the next control phase (workload
-     *  notifications). */
+     *  notifications). The entry's key holds epsilon and flags; the
+     *  commit adds the destination's sequence. */
     struct OutItem {
-        Event* event;
-        Time time;
+        Tick tick;
         std::uint32_t target;
-        std::uint8_t flags;
+        QueueEntry entry;
     };
 
-    /** One partition's event queue: the full PR 3 two-level design plus
-     *  its own sequence counter, wrapper-event pools, and outgoing
-     *  mailboxes. Padded to a cache line so neighbors don't false-share. */
+    /** One partition's event queue: the two-level design plus its own
+     *  sequence counter and outgoing mailboxes. Padded to a cache line so
+     *  neighbors don't false-share. */
     struct alignas(64) PartitionQueue {
         std::uint64_t sequence = 0;
         Time now{0, 0};
@@ -446,21 +482,13 @@ class Simulator {
         std::vector<Bucket> buckets;
         std::vector<std::uint64_t> occupancy;
         std::size_t bucketedCount = 0;
-        std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                            EntryGreater>
+        std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
+                            OverflowGreater>
             overflow;
         std::size_t liveCount = 0;
 
-        std::vector<CallbackEvent*> callbackPool;
-        std::vector<PooledEvent*> pooledPool;
         std::size_t callbackAllocated = 0;
-        std::size_t pooledAllocated = 0;
         std::size_t peakQueueDepth = 0;
-        /** Wrappers this worker partition took from its pools for
-         *  control-partition events and has not been handed back yet:
-         *  they recycle into control's pools when they run. */
-        std::size_t lentPooled = 0;
-        std::size_t lentCallback = 0;
 
         /** Mailboxes: events this partition scheduled onto other
          *  partitions, committed in partition order at the barrier. */
@@ -487,49 +515,37 @@ class Simulator {
     {
         return partition < numPartitions_ ? partition : controlIndex_;
     }
-    PartitionQueue&
-    schedCtxQueue()
-    {
-        const ExecCtx& ctx = tlsCtx_;
-        return ctx.sim == this ? *ctx.queue : *queues_[controlIndex_];
-    }
     void checkSchedulable(std::uint32_t partition, Time time);
-    std::uint64_t makeKey(PartitionQueue& q, Epsilon epsilon);
-    void enqueueOwned(std::uint32_t partition, Event* event, Time time,
-                      EntryKind kind);
-    void routeEntry(std::uint32_t target, Event* event, Time time,
-                    EntryKind kind, bool background);
-    void enqueueDirect(PartitionQueue& q, std::uint32_t index,
-                       Event* event, Time time, EntryKind kind,
-                       bool background);
+    /** Sets @p entry's epsilon and flags and queues it on partition
+     *  @p target: directly, or through the scheduling partition's
+     *  mailbox. */
+    void routeEntry(std::uint32_t target, Time time, EntryKind kind,
+                    bool background, QueueEntry& entry);
+    /** Gives @p entry @p q's next sequence and pushes it. */
+    void enqueueDirect(PartitionQueue& q, std::uint32_t index, Tick tick,
+                       QueueEntry& entry);
     void scheduleCallback(std::uint32_t partition, Time time,
                           std::function<void()> fn);
-    void pushEntry(PartitionQueue& q, const QueueEntry& entry);
-    void bucketInsert(PartitionQueue& q, const QueueEntry& entry);
+    void pushEntry(PartitionQueue& q, Tick tick, const QueueEntry& entry);
+    void bucketInsert(PartitionQueue& q, Tick tick, const QueueEntry& entry);
     Tick nextBucketTick(const PartitionQueue& q) const;
     Tick nextQueueTick(const PartitionQueue& q) const;
     Bucket& materialize(PartitionQueue& q);
     /** @p q's bucket for the barrier @p tick with the window moved onto
      *  it, or nullptr when @p q has nothing at that tick. */
     Bucket* tickBucket(PartitionQueue& q, Tick tick);
-    CallbackEvent* acquireCallback();
-    PooledEvent* acquirePooled();
-    void recycle(PartitionQueue& q, const QueueEntry& entry);
     /** Empties a drained bucket's lanes and clears its occupancy bit. */
     void releaseBucket(PartitionQueue& q, Bucket& bucket, Tick tick);
     /** The one event-execution step of every run loop: runs @p entry,
-     *  just popped from @p q, unless it is a cancelled tombstone. Returns
-     *  whether it ran. */
-    bool execute(PartitionQueue& q, const QueueEntry& entry);
+     *  just popped from @p q's bucket for @p tick, unless it is a
+     *  cancelled tombstone. Returns whether it ran. */
+    bool execute(PartitionQueue& q, QueueEntry& entry, Tick tick);
     /** Runs @p q's events at the barrier @p tick in lanes up to
      *  @p max_lane; returns how many ran. */
     std::uint64_t drainTick(PartitionQueue& q, Tick tick,
                             std::size_t max_lane = kNumLanes - 1);
     std::uint64_t runWorkerPhase(Tick tick);
     std::uint64_t commitControlOutboxes();
-    /** Moves the wrappers each worker partition lent the control
-     *  partition back from control's pools (as many as they hold). */
-    void returnLentWrappers();
     void commitOutboxes();
     void spawnWorkers();
     void stopWorkers();

@@ -23,6 +23,15 @@ HyperX::HyperX(Simulator* simulator, const std::string& name,
         routers *= widths_[d];
     }
     routerCount_ = static_cast<std::uint32_t>(routers);
+    coords_.resize(static_cast<std::size_t>(routerCount_) * widths_.size());
+    for (std::uint32_t r = 0; r < routerCount_; ++r) {
+        std::uint64_t v = r;
+        for (std::uint32_t d = 0; d < widths_.size(); ++d) {
+            coords_[r * widths_.size() + d] =
+                static_cast<std::uint32_t>(v % widths_[d]);
+            v /= widths_[d];
+        }
+    }
 
     for (std::uint32_t r = 0; r < routerCount_; ++r) {
         makeRouter(strf("router_", r), r, radix, standardRoutingFactory());
@@ -57,16 +66,6 @@ HyperX::HyperX(Simulator* simulator, const std::string& name,
 }
 
 std::uint32_t
-HyperX::coordinate(std::uint32_t router_id, std::uint32_t dim) const
-{
-    std::uint64_t v = router_id;
-    for (std::uint32_t d = 0; d < dim; ++d) {
-        v /= widths_[d];
-    }
-    return static_cast<std::uint32_t>(v % widths_[dim]);
-}
-
-std::uint32_t
 HyperX::routerOfTerminal(std::uint32_t terminal) const
 {
     return terminal / concentration_;
@@ -85,11 +84,12 @@ HyperX::portToward(std::uint32_t router_id, std::uint32_t dim,
 std::uint32_t
 HyperX::routerDistance(std::uint32_t a, std::uint32_t b) const
 {
+    const std::size_t dims = widths_.size();
+    const std::uint32_t* ca = &coords_[a * dims];
+    const std::uint32_t* cb = &coords_[b * dims];
     std::uint32_t hops = 0;
-    for (std::uint32_t d = 0; d < widths_.size(); ++d) {
-        if (coordinate(a, d) != coordinate(b, d)) {
-            ++hops;
-        }
+    for (std::size_t d = 0; d < dims; ++d) {
+        hops += static_cast<std::uint32_t>(ca[d] != cb[d]);
     }
     return hops;
 }

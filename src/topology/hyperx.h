@@ -36,8 +36,12 @@ class HyperX : public Network {
     }
     std::uint32_t numRouterNodes() const { return routerCount_; }
 
-    std::uint32_t coordinate(std::uint32_t router_id,
-                             std::uint32_t dim) const;
+    /** Coordinate of router @p router_id in dimension @p dim. */
+    std::uint32_t
+    coordinate(std::uint32_t router_id, std::uint32_t dim) const
+    {
+        return coords_[router_id * widths_.size() + dim];
+    }
     std::uint32_t routerOfTerminal(std::uint32_t terminal) const;
 
     /** Port on @p router_id toward coordinate @p coord of @p dim (the
@@ -53,6 +57,10 @@ class HyperX : public Network {
 
   private:
     std::vector<std::uint64_t> widths_;
+    /** Router-major coordinate table: router r's coordinate in dimension
+     *  d is coords_[r * D + d] (dimension 0 varies fastest in the id),
+     *  filled once at construction so routing never divides. */
+    std::vector<std::uint32_t> coords_;
     std::vector<std::uint32_t> dimPortBase_;
     std::uint32_t concentration_;
     std::uint32_t routerCount_;

@@ -19,6 +19,15 @@ Torus::Torus(Simulator* simulator, const std::string& name,
         routers *= w;
     }
     routerCount_ = static_cast<std::uint32_t>(routers);
+    coords_.resize(static_cast<std::size_t>(routerCount_) * widths_.size());
+    for (std::uint32_t r = 0; r < routerCount_; ++r) {
+        std::uint64_t v = r;
+        for (std::uint32_t d = 0; d < widths_.size(); ++d) {
+            coords_[r * widths_.size() + d] =
+                static_cast<std::uint32_t>(v % widths_[d]);
+            v /= widths_[d];
+        }
+    }
     std::uint32_t radix = concentration_ +
                           2 * static_cast<std::uint32_t>(widths_.size());
 
@@ -53,16 +62,6 @@ Torus::Torus(Simulator* simulator, const std::string& name,
         }
     }
     finalizeRouters();
-}
-
-std::uint32_t
-Torus::coordinate(std::uint32_t router_id, std::uint32_t dim) const
-{
-    std::uint64_t v = router_id;
-    for (std::uint32_t d = 0; d < dim; ++d) {
-        v /= widths_[d];
-    }
-    return static_cast<std::uint32_t>(v % widths_[dim]);
 }
 
 std::uint32_t

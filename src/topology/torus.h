@@ -34,8 +34,11 @@ class Torus : public Network {
     }
 
     /** Coordinate of router @p router_id in dimension @p dim. */
-    std::uint32_t coordinate(std::uint32_t router_id,
-                             std::uint32_t dim) const;
+    std::uint32_t
+    coordinate(std::uint32_t router_id, std::uint32_t dim) const
+    {
+        return coords_[router_id * widths_.size() + dim];
+    }
     /** Router id from coordinates. */
     std::uint32_t routerAt(const std::vector<std::uint32_t>& coords) const;
     /** Router serving terminal @p terminal. */
@@ -50,6 +53,10 @@ class Torus : public Network {
 
   private:
     std::vector<std::uint64_t> widths_;
+    /** Router-major coordinate table: router r's coordinate in dimension
+     *  d is coords_[r * D + d] (dimension 0 varies fastest in the id),
+     *  filled once at construction so routing never divides. */
+    std::vector<std::uint32_t> coords_;
     std::uint32_t concentration_;
     std::uint32_t routerCount_;
 };

@@ -11,9 +11,9 @@
  *
  * The bound, per message delivered in that second half: a message costs
  * one allocation for the Message, one for its packet array and one flit
- * array per packet — 2 + P allocations with P packets per message; the
- * event wrappers, congestion-sensor batches, message-registry slots and
- * routing scratch are all recycled. On top of that the stats buffers
+ * array per packet — 2 + P allocations with P packets per message;
+ * events live in the queue slots, and congestion-sensor batches,
+ * message-registry slots and routing scratch are all recycled. On top of that the stats buffers
  * (latency samples, rate counts) grow geometrically, which amortizes to
  * O(log n) reallocations; kGrowthAllowance per message covers that with
  * room to spare. Created and delivered counts differ only by the change
@@ -31,7 +31,9 @@
 #include <new>
 
 #include "json/json.h"
+#include "core/simulator.h"
 #include "sim/builder.h"
+#include "types/credit.h"
 #include "workload/application.h"
 #include "workload/terminal.h"
 
@@ -179,7 +181,7 @@ TEST(AllocGate, HyperXWithLatencyOneSensor)
 TEST(AllocGate, OutputQueuedClos)
 {
     // One-packet messages: 3 allocations per message. Two threads, so
-    // the wrapper hand-back runs with a parked worker pool.
+    // the mailbox commits run with a parked worker pool.
     expectSteadyStateBound(R"({
         "simulator": {"seed": 1, "threads": 2, "partitions": 4},
         "network": {
@@ -196,6 +198,53 @@ TEST(AllocGate, OutputQueuedClos)
             "warmup_duration": 500, "sample_duration": 100000,
             "traffic": {"type": "uniform_random"}}]}})",
                            1);
+}
+
+struct CreditCounter {
+    std::uint64_t sum = 0;
+    void take(Credit credit) { sum += credit.vc + credit.count; }
+};
+
+/** Schedules one round of slot events — 24-byte closures and inline
+ *  Credit deliveries — over ticks [first, first + 16) and runs it. */
+void
+slotRound(Simulator& sim, CreditCounter& counter, std::uint64_t& closures,
+          Tick first)
+{
+    for (Tick t = first; t < first + 16; ++t) {
+        for (std::uint32_t i = 0; i < 8; ++i) {
+            sim.scheduleInline<&CreditCounter::take>(&counter, Credit{i, 1},
+                                                     Time(t, 0));
+            auto closure = [c = &closures, t, i = std::uint64_t{i}]() {
+                *c += t + i;
+            };
+            static_assert(sizeof(closure) == 24);
+            sim.schedule(Time(t, 1), closure);
+        }
+    }
+    sim.run();
+}
+
+TEST(AllocGate, SlotEventsAllocateNothing)
+{
+    // Warm-up rounds grow the bucket lanes and the overflow heap (each
+    // round after the first starts a horizon after the previous one, so
+    // its last tick lands just past the window); the same pattern one
+    // horizon later must then reuse them and allocate nothing.
+    Simulator sim;
+    CreditCounter counter;
+    std::uint64_t closures = 0;
+    const Tick horizon = sim.schedulerHorizon();
+    slotRound(sim, counter, closures, 1);
+    slotRound(sim, counter, closures, 1 + horizon);
+    const std::uint64_t allocations0 =
+        gAllocations.load(std::memory_order_relaxed);
+    slotRound(sim, counter, closures, 1 + 2 * horizon);
+    EXPECT_EQ(gAllocations.load(std::memory_order_relaxed) - allocations0,
+              0u);
+    EXPECT_EQ(sim.eventsExecuted(), 3u * 16 * 8 * 2);
+    EXPECT_GT(counter.sum, 0u);
+    EXPECT_GT(closures, 0u);
 }
 
 }  // namespace

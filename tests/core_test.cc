@@ -10,6 +10,7 @@
 #include "core/simulator.h"
 #include "core/time.h"
 #include "rng/random.h"
+#include "types/credit.h"
 
 namespace ss {
 namespace {
@@ -367,6 +368,123 @@ TEST(Simulator, ScheduleInlineDeliversPayloads)
     EXPECT_EQ(obj.got, (std::vector<int>{0, 1, 2, 3}));
     // The chain reuses one pooled wrapper (plus at most one in flight).
     EXPECT_LE(sim.pooledEventsAllocated(), 2u);
+}
+
+// What every slot event below records: who ran, its two payload words,
+// and when.
+struct SlotRecord {
+    int id;
+    std::uint64_t a;
+    std::uint64_t b;
+    Time time;
+
+    bool
+    operator==(const SlotRecord& o) const
+    {
+        return id == o.id && a == o.a && b == o.b && time == o.time;
+    }
+};
+
+struct CreditSink {
+    Simulator* sim;
+    std::vector<SlotRecord>* log;
+    int id;
+    void
+    take(Credit credit)
+    {
+        log->push_back({id, credit.vc, credit.count, sim->now()});
+    }
+};
+
+TEST(Simulator, SlotEventsInterleaveWithCallerOwnedEventsInOrder)
+{
+    Simulator sim;
+    std::vector<SlotRecord> log;
+    CreditSink sink_b{&sim, &log, 2};
+    CreditSink sink_d{&sim, &log, 5};
+    // A closure with 24 bytes of trivially copyable captures fills the
+    // queue slot's storage exactly.
+    auto closure = [ctx = &sink_b](int id, std::uint64_t a,
+                                   std::uint32_t b) {
+        return [ctx, a, b, id]() {
+            ctx->log->push_back({id, a, b, ctx->sim->now()});
+        };
+    };
+    static_assert(sizeof(closure(0, 0, 0)) == 24);
+    struct Owned {
+        Simulator* sim;
+        std::vector<SlotRecord>* log;
+        void
+        take(std::uint32_t id)
+        {
+            log->push_back({static_cast<int>(id), 0, 0, sim->now()});
+        }
+    } owned{&sim, &log};
+    InlineEvent<Owned, std::uint32_t> e3(&owned, &Owned::take, 3);
+    InlineEvent<Owned, std::uint32_t> e6(&owned, &Owned::take, 6);
+
+    sim.schedule(Time(5, 1), closure(1, 10, 11));
+    sim.scheduleInline<&CreditSink::take>(&sink_b, Credit{20, 21},
+                                          Time(5, 0));
+    sim.schedule(&e3, Time(5, 1));
+    sim.schedule(Time(3, 2), closure(4, 40, 41));
+    sim.scheduleInline<&CreditSink::take>(&sink_d, Credit{50, 51},
+                                          Time(5, 1));
+    sim.schedule(&e6, Time(5, 0));
+    EXPECT_EQ(sim.run(), 6u);
+
+    // (tick, epsilon, insertion) order across all three kinds, each with
+    // its payload intact.
+    EXPECT_EQ(log, (std::vector<SlotRecord>{{4, 40, 41, Time(3, 2)},
+                                            {2, 20, 21, Time(5, 0)},
+                                            {6, 0, 0, Time(5, 0)},
+                                            {1, 10, 11, Time(5, 1)},
+                                            {3, 0, 0, Time(5, 1)},
+                                            {5, 50, 51, Time(5, 1)}}));
+    EXPECT_EQ(sim.callbackEventsAllocated(), 0u);
+    EXPECT_EQ(sim.pooledEventsAllocated(), 0u);
+}
+
+TEST(Simulator, InlineEntryRoundTripsThroughOverflowHeap)
+{
+    Simulator sim;
+    sim.setSchedulerHorizon(8);
+    std::vector<SlotRecord> log;
+    CreditSink far{&sim, &log, 1};
+    CreditSink near{&sim, &log, 2};
+    // Beyond the 8-tick horizon at build time: both park in the overflow
+    // heap with their payloads.
+    sim.scheduleInline<&CreditSink::take>(&far, Credit{7, 9}, Time(100, 0));
+    sim.scheduleInline<&CreditSink::take>(&far, Credit{8, 3}, Time(200, 3));
+    // A chain of same-horizon hops walks the window up to tick 96 without
+    // migrating the overflow, then schedules directly into tick 100's
+    // bucket: the migrated entry must still run first (lower sequence).
+    struct Walker {
+        Simulator* sim;
+        CreditSink* near;
+        std::vector<SlotRecord>* log;
+        void
+        step(Tick tick)
+        {
+            if (tick < 96) {
+                sim->scheduleInline<&Walker::step>(this, tick + 5,
+                                                   Time(tick + 5, 0));
+                return;
+            }
+            sim->scheduleInline<&CreditSink::take>(near, Credit{4, 5},
+                                                   Time(100, 0));
+            sim->schedule(Time(100, 0), [l = log, s = sim]() {
+                l->push_back({3, 0, 0, s->now()});
+            });
+        }
+    } walker{&sim, &near, &log};
+    sim.scheduleInline<&Walker::step>(&walker, 1, Time(1, 0));
+    sim.run();
+    EXPECT_EQ(log, (std::vector<SlotRecord>{{1, 7, 9, Time(100, 0)},
+                                            {2, 4, 5, Time(100, 0)},
+                                            {3, 0, 0, Time(100, 0)},
+                                            {1, 8, 3, Time(200, 3)}}));
+    EXPECT_EQ(sim.eventsPending(), 0u);
 }
 
 TEST(Simulator, InlineEventCarriesPayload)

@@ -19,6 +19,7 @@
 #include "json/settings.h"
 #include "sim/builder.h"
 #include "topology/partitioner.h"
+#include "types/credit.h"
 
 #include "test_util.h"
 
@@ -190,14 +191,15 @@ TEST(ParallelExecuter, PartitionsWithoutThreadsIsRejected)
 
 // ----- partitioner plan unit tests -----
 
-// Notification wrappers a worker partition sends the control partition
-// go back to it at the barrier, so the wrapper pools reach a steady state
-// bounded by the queue depth: four times as many sampled messages must
-// not allocate proportionally more wrappers.
+// Notifications a worker partition sends the control partition and the
+// channel hops between partitions ride in queue slots and mailbox
+// entries, never in wrapper events: no wrapper is allocated at any sample
+// window or thread count, and the queue depth stays bounded as four times
+// as many messages are sampled.
 TEST(ParallelExecuter, WrapperPoolsStayFlatAsSampleWindowGrows)
 {
     for (std::uint64_t threads : {1u, 2u}) {
-        auto allocated = [threads](unsigned samples) {
+        for (unsigned samples : {50u, 200u}) {
             json::Value config = test::makeConfig(
                 kTorusNet, test::blastWorkload(0.3, 2, samples));
             json::applyOverrides(
@@ -207,18 +209,86 @@ TEST(ParallelExecuter, WrapperPoolsStayFlatAsSampleWindowGrows)
             simulation.run();
             const Simulator& sim = *simulation.simulator();
             EXPECT_EQ(sim.numWorkerPartitions(), 4u);
-            const std::size_t wrappers = sim.pooledEventsAllocated() +
-                                         sim.callbackEventsAllocated();
-            EXPECT_LE(wrappers, sim.peakQueueDepth())
+            EXPECT_EQ(sim.pooledEventsAllocated(), 0u)
                 << samples << " samples, threads " << threads;
-            return wrappers;
-        };
-        const std::size_t window = allocated(50);
-        const std::size_t window4 = allocated(200);
-        EXPECT_LT(static_cast<double>(window4),
-                  1.1 * static_cast<double>(window))
-            << "threads " << threads << ": " << window << " -> "
-            << window4 << " wrappers";
+            EXPECT_EQ(sim.callbackEventsAllocated(), 0u)
+                << samples << " samples, threads " << threads;
+            EXPECT_GT(sim.peakQueueDepth(), 0u);
+            EXPECT_LE(sim.pooledEventsAllocated() +
+                          sim.callbackEventsAllocated(),
+                      sim.peakQueueDepth())
+                << samples << " samples, threads " << threads;
+        }
+    }
+}
+
+// Inline entries a worker partition schedules elsewhere travel by value
+// through its mailboxes: `outbox` to another worker partition at a later
+// tick, `controlOutbox` to the control partition in the same tick. Each
+// must arrive on its target partition with its payload intact.
+TEST(ParallelExecuter, InlineEntriesCrossPartitionsWithPayloads)
+{
+    struct Arrival {
+        std::uint32_t vc;
+        std::uint32_t count;
+        std::uint32_t shard;
+        Tick tick;
+        Epsilon epsilon;
+    };
+    struct Sink {
+        Simulator* sim;
+        std::vector<Arrival> got;
+        void
+        take(Credit credit)
+        {
+            got.push_back({credit.vc, credit.count, sim->currentShard(),
+                           sim->now().tick, sim->now().epsilon});
+        }
+    };
+    for (std::uint32_t threads : {1u, 2u}) {
+        Simulator sim;
+        sim.requestParallel(threads, 2);
+        sim.setupPartitions(2);
+        Sink worker{&sim, {}};
+        Sink control{&sim, {}};
+        struct {
+            std::uint64_t payload = 0;
+            std::uint32_t shard = 0;
+        } closure;
+        sim.scheduleFor(0, Time(1), [&sim, &worker, &control]() {
+            sim.scheduleInlineFor<&Sink::take>(1, &worker, Credit{7, 9},
+                                               Time(3, eps::kDelivery));
+            sim.scheduleInlineFor<&Sink::take>(Simulator::kAutoPartition,
+                                               &control, Credit{5, 6},
+                                               Time(1, eps::kControl));
+        });
+        sim.scheduleFor(0, Time(2), [&sim, &closure]() {
+            // 24 bytes of captures, sent to partition 1 by value.
+            const std::uint64_t payload = 0x0123456789abcdefULL;
+            auto deliver = [out = &closure, payload, s = &sim]() {
+                out->payload = payload;
+                out->shard = s->currentShard();
+            };
+            static_assert(sizeof(deliver) == 24);
+            sim.scheduleFor(1, Time(4), deliver);
+        });
+        sim.run();
+        ASSERT_EQ(worker.got.size(), 1u) << "threads " << threads;
+        EXPECT_EQ(worker.got[0].vc, 7u);
+        EXPECT_EQ(worker.got[0].count, 9u);
+        EXPECT_EQ(worker.got[0].shard, 1u);
+        EXPECT_EQ(worker.got[0].tick, 3u);
+        EXPECT_EQ(worker.got[0].epsilon, eps::kDelivery);
+        ASSERT_EQ(control.got.size(), 1u) << "threads " << threads;
+        EXPECT_EQ(control.got[0].vc, 5u);
+        EXPECT_EQ(control.got[0].count, 6u);
+        EXPECT_EQ(control.got[0].shard, sim.controlShard());
+        EXPECT_EQ(control.got[0].tick, 1u);
+        EXPECT_EQ(control.got[0].epsilon, eps::kControl);
+        EXPECT_EQ(closure.payload, 0x0123456789abcdefULL);
+        EXPECT_EQ(closure.shard, 1u);
+        EXPECT_EQ(sim.eventsExecuted(), 5u);
+        EXPECT_EQ(sim.callbackEventsAllocated(), 0u);
     }
 }
 

@@ -274,6 +274,40 @@ TEST(HyperX, DistanceCountsDifferingDims)
     EXPECT_EQ(hx->minimalHops(0, 4), 3u);
 }
 
+TEST(HyperX, CoordinateTableMatchesMixedRadixDigits)
+{
+    Simulator sim(1);
+    json::Value settings = json::parse(
+        R"({"topology": "hyperx", "widths": [2, 3, 4], "num_vcs": 2,
+            "routing": {"algorithm": "hyperx_dimension_order"}})");
+    std::unique_ptr<Network> base(NetworkFactory::instance().create(
+        "hyperx", &sim, "network", nullptr, settings));
+    auto* hx = dynamic_cast<HyperX*>(base.get());
+    ASSERT_NE(hx, nullptr);
+    ASSERT_EQ(hx->numRouterNodes(), 24u);
+    // Dimension 0 varies fastest in the router id.
+    auto digit = [](std::uint32_t r, std::uint32_t d) {
+        const std::uint32_t widths[] = {2, 3, 4};
+        for (std::uint32_t dd = 0; dd < d; ++dd) {
+            r /= widths[dd];
+        }
+        return r % widths[d];
+    };
+    for (std::uint32_t a = 0; a < 24; ++a) {
+        for (std::uint32_t d = 0; d < 3; ++d) {
+            EXPECT_EQ(hx->coordinate(a, d), digit(a, d))
+                << "router " << a << " dim " << d;
+        }
+        for (std::uint32_t b = 0; b < 24; ++b) {
+            std::uint32_t differing = 0;
+            for (std::uint32_t d = 0; d < 3; ++d) {
+                differing += digit(a, d) != digit(b, d);
+            }
+            EXPECT_EQ(hx->routerDistance(a, b), differing);
+        }
+    }
+}
+
 TEST(Dragonfly, CanonicalGroupCount)
 {
     Simulator sim(1);
