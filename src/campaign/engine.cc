@@ -37,37 +37,6 @@ metricsToJson(const std::map<std::string, double>& metrics)
 
 }  // namespace
 
-void
-flattenNumbers(const json::Value& value, const std::string& prefix,
-               std::map<std::string, double>* out)
-{
-    switch (value.type()) {
-      case json::Type::kBool:
-        (*out)[prefix] = value.asBool() ? 1.0 : 0.0;
-        break;
-      case json::Type::kInt:
-      case json::Type::kUint:
-      case json::Type::kFloat:
-        (*out)[prefix] = value.asFloat();
-        break;
-      case json::Type::kObject:
-        for (const auto& key : value.keys()) {
-            flattenNumbers(value.at(key),
-                           prefix.empty() ? key : prefix + '.' + key,
-                           out);
-        }
-        break;
-      case json::Type::kArray:
-        for (std::size_t i = 0; i < value.size(); ++i) {
-            flattenNumbers(value.at(i), prefix + '.' + std::to_string(i),
-                           out);
-        }
-        break;
-      default:
-        break;  // strings and nulls are not metrics
-    }
-}
-
 std::string
 CampaignReport::summary() const
 {
@@ -153,7 +122,7 @@ CampaignEngine::runPoint(std::size_t index, TaskContext& ctx,
             outcome.state = "cached";
             outcome.attempts = 0;
             outcome.exitCode = 0;
-            flattenNumbers(artifact->at("result"), "", &outcome.metrics);
+            json::flattenNumbers(artifact->at("result"), "", &outcome.metrics);
             manifest->append(pointRecord(outcome));
             return true;
         }
@@ -220,7 +189,7 @@ CampaignEngine::runPoint(std::size_t index, TaskContext& ctx,
 
         outcome.state = "completed";
         outcome.metrics.clear();
-        flattenNumbers(artifact.at("result"), "", &outcome.metrics);
+        json::flattenNumbers(artifact.at("result"), "", &outcome.metrics);
         manifest->append(pointRecord(outcome));
         return true;
     }

@@ -88,11 +88,6 @@ struct EngineOptions {
     bool dryRun = false;
 };
 
-/** Flattens numeric (and bool, as 0/1) leaves of a JSON tree into dotted
- *  names: {"latency":{"total":{"mean":3}}} -> {"latency.total.mean":3}. */
-void flattenNumbers(const json::Value& value, const std::string& prefix,
-                    std::map<std::string, double>* out);
-
 /** Executes a campaign spec. */
 class CampaignEngine {
   public:

@@ -815,4 +815,35 @@ parseFile(const std::string& path)
     return parse(oss.str());
 }
 
+void
+flattenNumbers(const Value& value, const std::string& prefix,
+               std::map<std::string, double>* out)
+{
+    switch (value.type()) {
+      case Type::kBool:
+        (*out)[prefix] = value.asBool() ? 1.0 : 0.0;
+        break;
+      case Type::kInt:
+      case Type::kUint:
+      case Type::kFloat:
+        (*out)[prefix] = value.asFloat();
+        break;
+      case Type::kObject:
+        for (const auto& key : value.keys()) {
+            flattenNumbers(value.at(key),
+                           prefix.empty() ? key : prefix + '.' + key,
+                           out);
+        }
+        break;
+      case Type::kArray:
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            flattenNumbers(value.at(i), prefix + '.' + std::to_string(i),
+                           out);
+        }
+        break;
+      default:
+        break;  // strings and nulls are not metrics
+    }
+}
+
 }  // namespace ss::json

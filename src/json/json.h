@@ -129,6 +129,11 @@ Value parse(const std::string& text);
 /** Parses a JSON document from a file; fatal() if unreadable/invalid. */
 Value parseFile(const std::string& path);
 
+/** Flattens numeric (and bool, as 0/1) leaves of a JSON tree into dotted
+ *  names: {"latency":{"total":{"mean":3}}} -> {"latency.total.mean":3}. */
+void flattenNumbers(const Value& value, const std::string& prefix,
+                    std::map<std::string, double>* out);
+
 }  // namespace ss::json
 
 #endif  // SS_JSON_JSON_H_

@@ -1,88 +1,20 @@
 #include "tools/collective_parser.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "core/logging.h"
+#include "tools/filter.h"
 
 namespace ss {
 
 namespace {
 
-std::uint64_t
-parseU64(const std::string& text)
-{
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    checkUser(end == text.c_str() + text.size() && !text.empty(),
-              "invalid number '", text, "' in collective log");
-    return v;
-}
-
-std::vector<std::string>
-splitCsv(const std::string& line)
-{
-    std::vector<std::string> fields;
-    std::string current;
-    for (char c : line) {
-        if (c == ',') {
-            fields.push_back(current);
-            current.clear();
-        } else {
-            current.push_back(c);
-        }
-    }
-    fields.push_back(current);
-    return fields;
-}
-
-struct CollectiveFilter {
-    std::string field;
-    std::string substr;       // name filter
-    std::uint64_t lo = 0;     // numeric filters
-    std::uint64_t hi = 0;
-
-    static CollectiveFilter
-    parse(const std::string& spec)
-    {
-        checkUser(spec.size() > 1 && spec[0] == '+',
-                  "filter must start with '+': ", spec);
-        auto eq = spec.find('=');
-        checkUser(eq != std::string::npos && eq > 1,
-                  "filter needs '=': ", spec);
-        CollectiveFilter filter;
-        filter.field = spec.substr(1, eq - 1);
-        std::string value = spec.substr(eq + 1);
-        checkUser(filter.field == "name" || filter.field == "iter" ||
-                      filter.field == "payload",
-                  "unknown collective filter field '", filter.field,
-                  "'");
-        if (filter.field == "name") {
-            filter.substr = value;
-            return filter;
-        }
-        auto dash = value.find('-');
-        if (dash != std::string::npos) {
-            filter.lo = parseU64(value.substr(0, dash));
-            filter.hi = parseU64(value.substr(dash + 1));
-            checkUser(filter.lo <= filter.hi,
-                      "filter range inverted: ", spec);
-        } else {
-            filter.lo = filter.hi = parseU64(value);
-        }
-        return filter;
-    }
-
-    bool
-    matches(const CollectiveRecord& r) const
-    {
-        if (field == "name") {
-            return r.name.find(substr) != std::string::npos;
-        }
-        std::uint64_t v = field == "iter" ? r.iteration : r.payloadBytes;
-        return v >= lo && v <= hi;
-    }
+const FilterField<CollectiveRecord> kCollectiveFields[] = {
+    {"name", nullptr, &CollectiveRecord::name},
+    {"iter",
+     [](const CollectiveRecord& r) -> std::uint64_t { return r.iteration; }},
+    {"payload", [](const CollectiveRecord& r) { return r.payloadBytes; }},
 };
 
 }  // namespace
@@ -110,6 +42,9 @@ CollectiveParser::parseFile(const std::string& path)
 std::vector<CollectiveRecord>
 CollectiveParser::parseText(const std::string& text)
 {
+    auto field = [](const std::string& f) {
+        return parseU64(f, "collective log");
+    };
     std::vector<CollectiveRecord> records;
     std::istringstream stream(text);
     std::string line;
@@ -134,14 +69,13 @@ CollectiveParser::parseText(const std::string& text)
         checkUser(fields.size() == 7, "bad collective log row (line ",
                   lineno, "): ", line);
         CollectiveRecord record;
-        record.iteration =
-            static_cast<std::uint32_t>(parseU64(fields[0]));
-        record.opIndex = static_cast<std::uint32_t>(parseU64(fields[1]));
+        record.iteration = static_cast<std::uint32_t>(field(fields[0]));
+        record.opIndex = static_cast<std::uint32_t>(field(fields[1]));
         record.name = fields[2];
         record.algorithm = fields[3];
-        record.payloadBytes = parseU64(fields[4]);
-        record.start = parseU64(fields[5]);
-        record.end = parseU64(fields[6]);
+        record.payloadBytes = field(fields[4]);
+        record.start = field(fields[5]);
+        record.end = field(fields[6]);
         checkUser(record.end >= record.start,
                   "collective log row ends before it starts (line ",
                   lineno, "): ", line);
@@ -155,24 +89,8 @@ std::vector<CollectiveRecord>
 CollectiveParser::apply(const std::vector<CollectiveRecord>& records,
                         const std::vector<std::string>& filter_specs)
 {
-    std::vector<CollectiveFilter> filters;
-    for (const std::string& spec : filter_specs) {
-        filters.push_back(CollectiveFilter::parse(spec));
-    }
-    std::vector<CollectiveRecord> kept;
-    for (const CollectiveRecord& record : records) {
-        bool ok = true;
-        for (const CollectiveFilter& filter : filters) {
-            if (!filter.matches(record)) {
-                ok = false;
-                break;
-            }
-        }
-        if (ok) {
-            kept.push_back(record);
-        }
-    }
-    return kept;
+    return applyFilters<CollectiveRecord>(records, filter_specs,
+                                          kCollectiveFields);
 }
 
 }  // namespace ss

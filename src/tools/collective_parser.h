@@ -7,7 +7,7 @@
  *   iter,op,name,algorithm,payload_bytes,start,end
  *
  * ssparse autodetects the header and aggregates durations per collective
- * name. Filters:
+ * name. Filters (grammar in tools/filter.h):
  *
  *   +name=grads     rows whose name contains "grads"
  *   +iter=0-3       iteration range (inclusive)
@@ -38,8 +38,8 @@ class CollectiveParser {
      *  ssparse to pick the aggregation mode. */
     static bool looksLikeCollectiveLog(const std::string& first_line);
 
-    /** Keeps records matching every "+name=substr" / "+iter=lo-hi" /
-     *  "+payload=lo-hi" filter; fatal() on unknown filter fields. */
+    /** Keeps records matching every "+name=substr" / "+iter=lo[-hi]" /
+     *  "+payload=lo[-hi]" filter; fatal() on a malformed filter. */
     static std::vector<CollectiveRecord> apply(
         const std::vector<CollectiveRecord>& records,
         const std::vector<std::string>& filter_specs);

@@ -7,97 +7,37 @@
 #include "core/logging.h"
 #include "json/json.h"
 #include "stats/transaction_log.h"
+#include "tools/filter.h"
 
 namespace ss {
 
 namespace {
 
-std::uint64_t
-parseU64(const std::string& text)
-{
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    checkUser(end == text.c_str() + text.size() && !text.empty(),
-              "invalid number '", text, "' in log");
-    return v;
-}
+using LogField = FilterField<MessageSample>;
+const LogField kLogFields[] = {
+    {"app", [](const MessageSample& s) -> std::uint64_t { return s.app; }},
+    {"src",
+     [](const MessageSample& s) -> std::uint64_t { return s.source; }},
+    {"dst",
+     [](const MessageSample& s) -> std::uint64_t { return s.destination; }},
+    {"send",
+     [](const MessageSample& s) -> std::uint64_t { return s.injectTick; }},
+    {"recv",
+     [](const MessageSample& s) -> std::uint64_t { return s.deliverTick; }},
+    {"create",
+     [](const MessageSample& s) -> std::uint64_t { return s.createTick; }},
+    {"size", [](const MessageSample& s) -> std::uint64_t { return s.flits; }},
+    {"hops", [](const MessageSample& s) -> std::uint64_t { return s.hops; }},
+    {"nonminimal",
+     [](const MessageSample& s) -> std::uint64_t { return s.nonminimal; }},
+};
 
-std::vector<std::string>
-splitCsv(const std::string& line)
-{
-    std::vector<std::string> fields;
-    std::string current;
-    for (char c : line) {
-        if (c == ',') {
-            fields.push_back(current);
-            current.clear();
-        } else {
-            current.push_back(c);
-        }
-    }
-    fields.push_back(current);
-    return fields;
-}
+const FilterField<SeriesPoint> kSeriesFields[] = {
+    {"name", nullptr, &SeriesPoint::name},
+    {"tick", [](const SeriesPoint& p) { return p.tick; }},
+};
 
 }  // namespace
-
-LogFilter
-LogFilter::parse(const std::string& spec)
-{
-    checkUser(spec.size() > 1 && spec[0] == '+',
-              "filter must start with '+': ", spec);
-    auto eq = spec.find('=');
-    checkUser(eq != std::string::npos && eq > 1,
-              "filter needs '=': ", spec);
-    LogFilter filter;
-    filter.field_ = spec.substr(1, eq - 1);
-    std::string value = spec.substr(eq + 1);
-    const char* known[] = {"app", "src", "dst", "send", "recv", "create",
-                           "size", "hops", "nonminimal"};
-    bool ok = false;
-    for (const char* k : known) {
-        if (filter.field_ == k) {
-            ok = true;
-        }
-    }
-    checkUser(ok, "unknown filter field '", filter.field_, "'");
-    auto dash = value.find('-');
-    if (dash != std::string::npos) {
-        filter.lo_ = parseU64(value.substr(0, dash));
-        filter.hi_ = parseU64(value.substr(dash + 1));
-        checkUser(filter.lo_ <= filter.hi_, "filter range inverted: ",
-                  spec);
-    } else {
-        filter.lo_ = filter.hi_ = parseU64(value);
-    }
-    return filter;
-}
-
-bool
-LogFilter::matches(const MessageSample& s) const
-{
-    std::uint64_t v = 0;
-    if (field_ == "app") {
-        v = s.app;
-    } else if (field_ == "src") {
-        v = s.source;
-    } else if (field_ == "dst") {
-        v = s.destination;
-    } else if (field_ == "send") {
-        v = s.injectTick;
-    } else if (field_ == "recv") {
-        v = s.deliverTick;
-    } else if (field_ == "create") {
-        v = s.createTick;
-    } else if (field_ == "size") {
-        v = s.flits;
-    } else if (field_ == "hops") {
-        v = s.hops;
-    } else if (field_ == "nonminimal") {
-        v = s.nonminimal ? 1 : 0;
-    }
-    return v >= lo_ && v <= hi_;
-}
 
 std::vector<MessageSample>
 LogParser::parseFile(const std::string& path)
@@ -112,6 +52,7 @@ LogParser::parseFile(const std::string& path)
 std::vector<MessageSample>
 LogParser::parseText(const std::string& text)
 {
+    auto field = [](const std::string& f) { return parseU64(f, "log"); };
     std::vector<MessageSample> samples;
     std::istringstream stream(text);
     std::string line;
@@ -130,18 +71,18 @@ LogParser::parseText(const std::string& text)
         checkUser(fields.size() == 12, "bad log row (", fields.size(),
                   " fields): ", line);
         MessageSample s;
-        s.id = parseU64(fields[0]);
-        s.app = static_cast<std::uint32_t>(parseU64(fields[1]));
-        s.source = static_cast<std::uint32_t>(parseU64(fields[2]));
-        s.destination = static_cast<std::uint32_t>(parseU64(fields[3]));
-        s.createTick = parseU64(fields[4]);
-        s.injectTick = parseU64(fields[5]);
-        s.deliverTick = parseU64(fields[6]);
-        s.flits = static_cast<std::uint32_t>(parseU64(fields[7]));
-        s.packets = static_cast<std::uint32_t>(parseU64(fields[8]));
-        s.hops = static_cast<std::uint32_t>(parseU64(fields[9]));
-        s.minHops = static_cast<std::uint32_t>(parseU64(fields[10]));
-        s.nonminimal = parseU64(fields[11]) != 0;
+        s.id = field(fields[0]);
+        s.app = static_cast<std::uint32_t>(field(fields[1]));
+        s.source = static_cast<std::uint32_t>(field(fields[2]));
+        s.destination = static_cast<std::uint32_t>(field(fields[3]));
+        s.createTick = field(fields[4]);
+        s.injectTick = field(fields[5]);
+        s.deliverTick = field(fields[6]);
+        s.flits = static_cast<std::uint32_t>(field(fields[7]));
+        s.packets = static_cast<std::uint32_t>(field(fields[8]));
+        s.hops = static_cast<std::uint32_t>(field(fields[9]));
+        s.minHops = static_cast<std::uint32_t>(field(fields[10]));
+        s.nonminimal = field(fields[11]) != 0;
         samples.push_back(s);
     }
     checkUser(!first, "log has no header");
@@ -150,34 +91,9 @@ LogParser::parseText(const std::string& text)
 
 std::vector<MessageSample>
 LogParser::apply(const std::vector<MessageSample>& samples,
-                 const std::vector<LogFilter>& filters)
-{
-    std::vector<MessageSample> out;
-    for (const auto& s : samples) {
-        bool keep = true;
-        for (const auto& f : filters) {
-            if (!f.matches(s)) {
-                keep = false;
-                break;
-            }
-        }
-        if (keep) {
-            out.push_back(s);
-        }
-    }
-    return out;
-}
-
-std::vector<MessageSample>
-LogParser::apply(const std::vector<MessageSample>& samples,
                  const std::vector<std::string>& filter_specs)
 {
-    std::vector<LogFilter> filters;
-    filters.reserve(filter_specs.size());
-    for (const auto& spec : filter_specs) {
-        filters.push_back(LogFilter::parse(spec));
-    }
-    return apply(samples, filters);
+    return applyFilters<MessageSample>(samples, filter_specs, kLogFields);
 }
 
 std::vector<SeriesPoint>
@@ -238,7 +154,8 @@ SeriesParser::parseText(const std::string& text)
             checkUser(end == fields[2].c_str() + fields[2].size() &&
                           !fields[2].empty(),
                       "invalid value '", fields[2], "' in series");
-            points.push_back({parseU64(fields[0]), fields[1], value});
+            points.push_back(
+                {parseU64(fields[0], "series"), fields[1], value});
         }
     }
     return points;
@@ -248,45 +165,7 @@ std::vector<SeriesPoint>
 SeriesParser::apply(const std::vector<SeriesPoint>& points,
                     const std::vector<std::string>& filter_specs)
 {
-    // Series filters: +name=substring, +tick=lo[-hi].
-    std::vector<std::pair<std::string, std::string>> parsed;
-    for (const auto& spec : filter_specs) {
-        checkUser(spec.size() > 1 && spec[0] == '+',
-                  "filter must start with '+': ", spec);
-        auto eq = spec.find('=');
-        checkUser(eq != std::string::npos && eq > 1,
-                  "filter needs '=': ", spec);
-        std::string field = spec.substr(1, eq - 1);
-        checkUser(field == "name" || field == "tick",
-                  "unknown series filter field '", field, "'");
-        parsed.emplace_back(field, spec.substr(eq + 1));
-    }
-    std::vector<SeriesPoint> out;
-    for (const auto& p : points) {
-        bool keep = true;
-        for (const auto& [field, value] : parsed) {
-            if (field == "name") {
-                keep = p.name.find(value) != std::string::npos;
-            } else {
-                auto dash = value.find('-');
-                std::uint64_t lo, hi;
-                if (dash != std::string::npos) {
-                    lo = parseU64(value.substr(0, dash));
-                    hi = parseU64(value.substr(dash + 1));
-                } else {
-                    lo = hi = parseU64(value);
-                }
-                keep = p.tick >= lo && p.tick <= hi;
-            }
-            if (!keep) {
-                break;
-            }
-        }
-        if (keep) {
-            out.push_back(p);
-        }
-    }
-    return out;
+    return applyFilters<SeriesPoint>(points, filter_specs, kSeriesFields);
 }
 
 }  // namespace ss

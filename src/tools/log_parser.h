@@ -8,14 +8,17 @@
  *   +dst=7           only messages to terminal 7
  *   +send=500-1000   injected between ticks 500 and 1000 (inclusive)
  *   +recv=0-2000     delivered in a tick range
+ *   +create=0-100    created in a tick range
  *   +size=8          messages of exactly 8 flits
+ *   +hops=3          messages that took exactly 3 hops
  *   +nonminimal=1    only messages that took a non-minimal route
  *
- * Multiple filters AND together.
+ * Multiple filters AND together (grammar in tools/filter.h).
  *
  * Also parses the observability time-series files written by the
  * MetricsCollector (CSV "tick,name,value" long format or JSONL
- * {"tick":N,"metrics":{...}} lines) with its own filter syntax:
+ * {"tick":N,"metrics":{...}} lines) with the same grammar over its own
+ * fields:
  *
  *   +name=router_0      instruments whose name contains "router_0"
  *   +tick=1000-5000     samples in an inclusive tick range
@@ -30,21 +33,6 @@
 
 namespace ss {
 
-/** One parsed "+field=value" filter. */
-class LogFilter {
-  public:
-    /** Parses a filter spec; fatal() on malformed input. */
-    static LogFilter parse(const std::string& spec);
-
-    bool matches(const MessageSample& sample) const;
-    const std::string& field() const { return field_; }
-
-  private:
-    std::string field_;
-    std::uint64_t lo_ = 0;
-    std::uint64_t hi_ = 0;
-};
-
 /** Reads and filters transaction logs. */
 class LogParser {
   public:
@@ -54,12 +42,8 @@ class LogParser {
     /** Parses CSV text (header + rows). */
     static std::vector<MessageSample> parseText(const std::string& text);
 
-    /** Keeps only samples matching every filter. */
-    static std::vector<MessageSample> apply(
-        const std::vector<MessageSample>& samples,
-        const std::vector<LogFilter>& filters);
-
-    /** Convenience: parse specs then apply. */
+    /** Keeps samples matching every "+field=value" filter (fields
+     *  above); fatal() on a malformed filter. */
     static std::vector<MessageSample> apply(
         const std::vector<MessageSample>& samples,
         const std::vector<std::string>& filter_specs);
@@ -86,8 +70,8 @@ class SeriesParser {
      *  transaction log) — used by ssparse to pick the mode. */
     static bool looksLikeSeries(const std::string& first_line);
 
-    /** Keeps points matching every "+name=substr" / "+tick=lo-hi"
-     *  filter; fatal() on unknown filter fields. */
+    /** Keeps points matching every "+name=substr" / "+tick=lo[-hi]"
+     *  filter; fatal() on a malformed filter. */
     static std::vector<SeriesPoint> apply(
         const std::vector<SeriesPoint>& points,
         const std::vector<std::string>& filter_specs);

@@ -17,11 +17,10 @@
  *   ssparse collectives.csv +name=grads +iter=1-3
  *
  * Run-result JSON files written by `supersim --json` are detected by
- * their pretty-printed "{" first line; result mode prints the power
- * model's per-component breakdown and joules-per-bit when an "energy"
- * block is present, and the fault/resilience breakdown (injections,
- * downtime, recovery latency, flit conservation) when a "fault" block
- * is present:
+ * their pretty-printed "{" first line; result mode takes no filters and
+ * prints one "name value" line per numeric leaf of the result, dotted
+ * names sorted, integral values exactly (e.g. "events_executed 316779",
+ * "energy.joules_per_bit 5.417022705078126e-13"):
  *
  *   ssparse result.json
  */
@@ -34,7 +33,6 @@
 #include "core/logging.h"
 #include "core/version.h"
 #include "json/json.h"
-#include "json/settings.h"
 #include "stats/distribution.h"
 #include "tools/collective_parser.h"
 #include "tools/log_parser.h"
@@ -94,106 +92,30 @@ seriesMode(const std::string& path, const std::vector<std::string>& filters)
     return 0;
 }
 
-void
-printEnergyKind(const char* label, const ss::json::Value& kind)
-{
-    std::printf("%-16s n %-6llu dynamic %.6e J  static %.6e J  total "
-                "%.6e J\n",
-                label,
-                static_cast<unsigned long long>(
-                    ss::json::getUint(kind, "components", 0)),
-                ss::json::getFloat(kind, "dynamic_j", 0.0),
-                ss::json::getFloat(kind, "static_j", 0.0),
-                ss::json::getFloat(kind, "total_j", 0.0));
-}
-
-void
-printEnergy(const ss::json::Value& e)
-{
-    std::printf("sim time:        %.6e s (tick %.3e s)\n",
-                ss::json::getFloat(e, "sim_seconds", 0.0),
-                ss::json::getFloat(e, "tick_seconds", 0.0));
-    std::printf("total energy:    %.6e J (dynamic %.6e, static %.6e)\n",
-                ss::json::getFloat(e, "total_j", 0.0),
-                ss::json::getFloat(e, "dynamic_j", 0.0),
-                ss::json::getFloat(e, "static_j", 0.0));
-    std::printf("mean power:      %.6e W\n",
-                ss::json::getFloat(e, "mean_power_w", 0.0));
-    if (e.has("routers")) {
-        printEnergyKind("routers", e.at("routers"));
-    }
-    if (e.has("channels")) {
-        printEnergyKind("channels", e.at("channels"));
-    }
-    if (e.has("credit_channels")) {
-        printEnergyKind("credit_channels", e.at("credit_channels"));
-    }
-    if (e.has("interfaces")) {
-        printEnergyKind("interfaces", e.at("interfaces"));
-    }
-    std::printf("bits delivered:  %llu\n",
-                static_cast<unsigned long long>(
-                    ss::json::getUint(e, "bits_delivered", 0)));
-    std::printf("joules_per_bit:  %.6e\n",
-                ss::json::getFloat(e, "joules_per_bit", 0.0));
-}
-
-void
-printResilience(const ss::json::Value& fault,
-                const ss::json::Value& resilience)
-{
-    auto u = [](const ss::json::Value& obj, const char* key) {
-        return static_cast<unsigned long long>(
-            ss::json::getUint(obj, key, 0));
-    };
-    std::printf("faults:          %llu injected of %llu scheduled, "
-                "%llu repaired, %llu recovered\n",
-                u(fault, "injected"), u(fault, "scheduled"),
-                u(fault, "completed"), u(fault, "recovered"));
-    std::printf("fault kinds:     link_down %llu  link_degrade %llu  "
-                "port_stall %llu  terminal_pause %llu\n",
-                u(fault, "link_down"), u(fault, "link_degrade"),
-                u(fault, "port_stall"), u(fault, "terminal_pause"));
-    std::printf("downtime:        %llu ticks\n",
-                u(fault, "downtime_ticks"));
-    std::printf("recovery:        mean %.2f min %llu max %llu ticks\n",
-                ss::json::getFloat(resilience, "recovery_latency_mean",
-                                   0.0),
-                u(resilience, "recovery_latency_min"),
-                u(resilience, "recovery_latency_max"));
-    std::printf("conservation:    %llu injected, %llu ejected, %llu "
-                "outstanding (%llu messages in flight)\n",
-                u(resilience, "flits_injected"),
-                u(resilience, "flits_ejected"),
-                u(resilience, "flits_outstanding"),
-                u(resilience, "messages_in_flight"));
-}
-
 int
 resultMode(const std::string& path)
 {
     ss::json::Value root = ss::json::parseFile(path);
     ss::checkUser(root.isObject(), "malformed run-result JSON in ", path);
-    std::printf("run: end_tick %llu  events %llu  throughput %.6g "
-                "flits/terminal/cycle\n",
-                static_cast<unsigned long long>(
-                    ss::json::getUint(root, "end_tick", 0)),
-                static_cast<unsigned long long>(
-                    ss::json::getUint(root, "events_executed", 0)),
-                ss::json::getFloat(root, "throughput", 0.0));
-    bool has_energy = root.has("energy");
-    bool has_fault = root.has("fault") && root.has("resilience");
-    ss::checkUser(has_energy || has_fault,
-                  "no 'energy' or 'fault' block in ", path,
-                  " (run supersim with an enabled 'power' or 'fault' "
-                  "config section)");
-    if (has_energy) {
-        printEnergy(root.at("energy"));
+    std::map<std::string, double> leaves;
+    ss::json::flattenNumbers(root, "", &leaves);
+    for (const auto& [name, value] : leaves) {
+        // Canonical number spelling: integral values as integers, others
+        // in their shortest round-trip form.
+        std::printf("%s %s\n", name.c_str(),
+                    ss::json::Value(value).toCanonicalString().c_str());
     }
-    if (has_fault) {
-        printResilience(root.at("fault"), root.at("resilience"));
-    }
-    return 0;
+    return ss::kExitOk;
+}
+
+int
+usage(const char* argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s <log.csv|series.csv|result.json> "
+                 "[--version] [+field=value ...]\n",
+                 argv0);
+    return ss::kExitBadConfig;
 }
 
 }  // namespace
@@ -208,11 +130,7 @@ main(int argc, char** argv)
         }
     }
     if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: %s <log.csv|series.csv|result.json> "
-                     "[--version] [+field=value ...]\n",
-                     argv[0]);
-        return ss::kExitBadConfig;
+        return usage(argv[0]);
     }
     try {
         std::vector<std::string> filters;
@@ -237,6 +155,13 @@ main(int argc, char** argv)
             trimmed.pop_back();
         }
         if (trimmed == "{") {
+            if (!filters.empty()) {
+                std::fprintf(stderr,
+                             "ssparse: a run result takes no filters "
+                             "(got %s)\n",
+                             filters[0].c_str());
+                return usage(argv[0]);
+            }
             return resultMode(argv[1]);
         }
         if (ss::SeriesParser::looksLikeSeries(first_line)) {

@@ -275,7 +275,7 @@ TEST(CampaignMetrics, FlattensNumericLeaves)
         "latency": {"total": {"mean": 12.5}}, "arr": [1, 2]
     })");
     std::map<std::string, double> out;
-    flattenNumbers(v, "", &out);
+    json::flattenNumbers(v, "", &out);
     EXPECT_DOUBLE_EQ(out.at("throughput"), 0.5);
     EXPECT_DOUBLE_EQ(out.at("saturated"), 0.0);
     EXPECT_DOUBLE_EQ(out.at("latency.total.mean"), 12.5);

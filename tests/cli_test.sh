@@ -62,6 +62,34 @@ echo "$SOUT" | grep -q "instruments:" || {
     echo "unexpected ssparse series output:"; echo "$SOUT"; exit 1;
 }
 
+# ssparse autodetects run results and prints one "name value" line per
+# numeric leaf, counts exactly; result mode takes no filters.
+ROUT=$("$SSPARSE" "$RESULT")
+echo "$ROUT" | grep -q "^events_executed [0-9][0-9]*$" || {
+    echo "unexpected ssparse result output:"; echo "$ROUT"; exit 1;
+}
+set +e
+"$SSPARSE" "$RESULT" +app=0 2>/dev/null; CODE=$?
+set -e
+[ "$CODE" -eq 2 ] || {
+    echo "ssparse result with a filter: expected exit 2, got $CODE"; exit 1;
+}
+
+# A power-enabled and a fault-enabled run: their report blocks reach
+# ssparse as leaves without ssparse knowing their key names.
+POWER="${TMPDIR:-/tmp}/supersim_cli_power_$$.json"
+FAULT="${TMPDIR:-/tmp}/supersim_cli_fault_$$.json"
+"$SUPERSIM" "$CONFIG" power.enabled=bool=true --json="$POWER" > /dev/null
+"$SSPARSE" "$POWER" | grep -q "^energy\.joules_per_bit " || {
+    echo "ssparse result missing energy.joules_per_bit"; exit 1;
+}
+"$SUPERSIM" "$CONFIG" fault.enabled=bool=true fault.random.count=uint=2 \
+    fault.random.mtbf=float=2000 fault.random.mttr=float=500 \
+    --json="$FAULT" > /dev/null
+"$SSPARSE" "$FAULT" | grep -q "^fault\.recovered " || {
+    echo "ssparse result missing fault.recovered"; exit 1;
+}
+
 # --version prints the build version and exits 0.
 VOUT=$("$SUPERSIM" --version)
 echo "$VOUT" | grep -q "^supersim [0-9]" || {
@@ -103,5 +131,5 @@ set -e
     echo "ssparse missing input: expected exit 2, got $CODE"; exit 1;
 }
 
-rm -f "$LOG" "$SERIES" "$TRACE" "$RESULT" "$BADCFG"
+rm -f "$LOG" "$SERIES" "$TRACE" "$RESULT" "$POWER" "$FAULT" "$BADCFG"
 echo "cli test ok"

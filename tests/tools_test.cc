@@ -10,6 +10,7 @@
 #include "core/logging.h"
 #include "json/settings.h"
 #include "stats/transaction_log.h"
+#include "tools/collective_parser.h"
 #include "tools/log_parser.h"
 #include "tools/series_writer.h"
 #include "tools/sweeper.h"
@@ -95,11 +96,17 @@ TEST(LogFilter, SizeHopsSrcDst)
 
 TEST(LogFilter, MalformedSpecsAreFatal)
 {
-    EXPECT_THROW(LogFilter::parse("app=0"), FatalError);       // no '+'
-    EXPECT_THROW(LogFilter::parse("+app"), FatalError);        // no '='
-    EXPECT_THROW(LogFilter::parse("+nope=1"), FatalError);     // field
-    EXPECT_THROW(LogFilter::parse("+send=9-5"), FatalError);   // inverted
-    EXPECT_THROW(LogFilter::parse("+app=x"), FatalError);      // number
+    auto samples = LogParser::parseText(sampleLogText());
+    EXPECT_THROW(LogParser::apply(samples, {"app=0"}), FatalError);  // +
+    EXPECT_THROW(LogParser::apply(samples, {"+app"}), FatalError);   // =
+    EXPECT_THROW(LogParser::apply(samples, {"+nope=1"}), FatalError);
+    EXPECT_THROW(LogParser::apply(samples, {"+send=9-5"}), FatalError);
+    EXPECT_THROW(LogParser::apply(samples, {"+app=x"}), FatalError);
+    // Every reader shares the grammar, so an inverted range is fatal in
+    // series and collective filters too.
+    std::vector<SeriesPoint> points = {{7, "engine.events", 1.0}};
+    EXPECT_THROW(SeriesParser::apply(points, {"+tick=9-5"}), FatalError);
+    EXPECT_THROW(CollectiveParser::apply({}, {"+iter=9-5"}), FatalError);
 }
 
 TEST(SeriesWriter, WritesRowsAndSeries)
