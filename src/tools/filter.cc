@@ -1,5 +1,6 @@
 #include "tools/filter.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace ss {
@@ -7,9 +8,13 @@ namespace ss {
 std::uint64_t
 parseU64(const std::string& text, const char* where)
 {
+    // strtoull alone would take a sign or leading spaces ("-1" wraps to
+    // 2^64 - 1) and saturate on overflow.
     char* end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    checkUser(end == text.c_str() + text.size() && !text.empty(),
+    checkUser(!text.empty() && text[0] >= '0' && text[0] <= '9' &&
+                  end == text.c_str() + text.size() && errno != ERANGE,
               "invalid number '", text, "' in ", where);
     return v;
 }
